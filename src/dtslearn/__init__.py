@@ -8,6 +8,7 @@ histories alone.
 """
 
 from .core import (
+    CheckError,
     DtsError,
     InputError,
     NotConnectedError,
@@ -43,6 +44,7 @@ from .coupling import (
     couple,
     diamond,
     greatest_bisimulation,
+    greatest_bisimulation_pairwise,
     has_nontrivial_autobisimulation,
     induced_label,
     is_surpriseless,

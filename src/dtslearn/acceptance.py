@@ -11,18 +11,21 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .core import (
+    PreconditionError,
     StateMap,
     TransitionSystem,
     are_isomorphic,
     is_minimally_distinguishing,
     is_strongly_connected,
+    require,
 )
 from .coupling import (
+    are_bisimilar,
     couple,
+    greatest_bisimulation_pairwise,
     has_nontrivial_autobisimulation,
     induced_label,
     is_surpriseless,
-    are_bisimilar,
     with_induced_labels,
 )
 from .envs import ArmSpec, SplitMix64, make_arm, make_cycle, make_line, make_random
@@ -89,11 +92,12 @@ def _coarsen_randomly(e: Partition, rng: SplitMix64) -> Partition:
 def _check_fig_line(seed: int) -> str:
     env = make_line(4)
     model, report = learn(env, 0, max_depth=12)
-    assert report.converged, "learning did not stabilize"
-    assert report.depth_converged <= 8, f"stabilized too late: {report.depth_converged}"
-    assert model.n_states == 4
+    require(report.converged, "learning did not stabilize")
+    require(report.depth_converged <= 8, f"stabilized too late: {report.depth_converged}")
+    require(model.n_states == 4, f"{model.n_states}-state model, expected 4")
     result = verify_learned(env, 0, model)
-    assert result.isomorphic and result.bisimilar and result.surpriseless
+    require(result.isomorphic and result.bisimilar and result.surpriseless,
+            f"model fails verification: {result}")
     return (f"4-state model at depth {report.depth_converged}, "
             f"isomorphic/bisimilar/surpriseless")
 
@@ -101,10 +105,12 @@ def _check_fig_line(seed: int) -> str:
 def _check_fig_cycle(seed: int) -> str:
     env = make_cycle(4)
     model, report = learn(env, 0, max_depth=12)
-    assert report.converged and report.depth_converged <= 8
-    assert model.n_states == 4
+    require(report.converged, "learning did not stabilize")
+    require(report.depth_converged <= 8, f"stabilized too late: {report.depth_converged}")
+    require(model.n_states == 4, f"{model.n_states}-state model, expected 4")
     result = verify_learned(env, 0, model)
-    assert result.isomorphic and result.bisimilar and result.surpriseless
+    require(result.isomorphic and result.bisimilar and result.surpriseless,
+            f"model fails verification: {result}")
     return f"4-state model at depth {report.depth_converged}"
 
 
@@ -112,15 +118,16 @@ def _check_arm(seed: int) -> str:
     spec = ArmSpec(joints=2, resolution=6,
                    obstacles=frozenset({(1, 1), (4, 4)}), click=(0, 0))
     env = make_arm(spec)
-    assert env.n_states == 34
-    assert is_strongly_connected(env)
-    assert is_minimally_distinguishing(env)[0]
-    assert pointed_classes(partition_from_labels(env))
+    require(env.n_states == 34, f"the arm has {env.n_states} states, expected 34")
+    require(is_strongly_connected(env), "the arm is not strongly connected")
+    require(is_minimally_distinguishing(env)[0], "the arm is not minimally distinguishing")
+    require(pointed_classes(partition_from_labels(env)), "the arm's sensor is not pointed")
     model, report = learn(env, env.initial, max_depth=68)
-    assert report.converged, "learning did not stabilize"
-    assert model.n_states == 34
+    require(report.converged, "learning did not stabilize")
+    require(model.n_states == 34, f"{model.n_states}-state model, expected 34")
     result = verify_learned(env, env.initial, model)
-    assert result.isomorphic and result.bisimilar and result.surpriseless
+    require(result.isomorphic and result.bisimilar and result.surpriseless,
+            f"model fails verification: {result}")
     return (f"34-state arm recovered at depth {report.depth_converged} "
             f"({report.oracle_resets} resets, {report.oracle_steps} steps)")
 
@@ -133,8 +140,8 @@ def _check_msr_oracle(seed: int) -> str:
         sys_ = make_random(n, m, rng.next_u64())
         e = _rand_partition(rng, n)
         fast = msr(sys_, e)
-        slow = msr_bruteforce(sys_, e)  # asserts uniqueness internally
-        assert fast == slow, f"instance {i}: refinement disagrees with enumeration"
+        slow = msr_bruteforce(sys_, e)  # checks uniqueness internally
+        require(fast == slow, f"instance {i}: refinement disagrees with enumeration")
     return "200 instances, bit-exact agreement"
 
 
@@ -146,12 +153,12 @@ def _check_commute(seed: int) -> str:
         cover, h = _random_cover(base, rng)
         e1 = _rand_partition(rng, n)
         lifted = msr(cover, pullback(h, e1))
-        assert lifted == pullback(h, msr(base, e1)), f"instance {i}: commute failed"
+        require(lifted == pullback(h, msr(base, e1)), f"instance {i}: commute failed")
         e1_stable = msr(base, e1)
         q_cover, _ = quotient(cover, pullback(h, e1_stable))
         q_base, _ = quotient(base, e1_stable)
-        assert are_isomorphic(q_cover, q_base, anchored=True)[0], \
-            f"instance {i}: quotients not isomorphic"
+        require(are_isomorphic(q_cover, q_base, anchored=True)[0],
+                f"instance {i}: quotients not isomorphic")
     return "100 covers, refinement commutes and quotients agree"
 
 
@@ -165,8 +172,8 @@ def _check_pointed(seed: int) -> str:
         width = 1 + rng.below(max(n - 1, 1))
         e = Partition.from_block_of(
             [("pt",) if s == special else ("rest", rng.below(width)) for s in range(n)])
-        assert pointed_classes(e), "generated partition is not pointed"
-        assert msr(sys_, e).is_identity, f"instance {i}: refinement not the identity"
+        require(pointed_classes(e), "generated partition is not pointed")
+        require(msr(sys_, e).is_identity, f"instance {i}: refinement not the identity")
     return "100 pointed instances, all refine to the identity"
 
 
@@ -186,7 +193,7 @@ def _check_surprise_bisim(seed: int) -> str:
             internal, i0 = _one_state_internal(env), 0
         elif kind == 1:
             internal, report = learn(env, 0, max_depth=2 * n + 4)
-            assert report.converged
+            require(report.converged, f"instance {i}: learning did not stabilize")
             i0 = internal.initial
         else:
             stable = msr(env, _rand_partition(rng, n))
@@ -197,21 +204,23 @@ def _check_surprise_bisim(seed: int) -> str:
         if quiet:
             surpriseless += 1
             labeled = with_induced_labels(prod)
-            assert are_bisimilar(env, labeled, 0, i0), \
-                f"instance {i}: surpriseless but not bisimilar"
+            bisimilar = are_bisimilar(env, labeled, 0, i0)
+            require(bisimilar == ((0, i0) in greatest_bisimulation_pairwise(env, labeled)),
+                    f"instance {i}: bisimilarity disagrees with the pairwise oracle")
+            require(bisimilar, f"instance {i}: surpriseless but not bisimilar")
         else:
             surprised += 1
             try:
                 induced_label(prod)
-                raise AssertionError(f"instance {i}: surprised but the induced "
-                                     "sensor map was accepted")
-            except Exception as exc:
-                if "surprised" not in str(exc):
-                    raise
+                accepted = True
+            except PreconditionError:
+                accepted = False
+            require(not accepted,
+                    f"instance {i}: surprised but the induced sensor map was accepted")
         if kind == 2:
             labels_uniform = is_refinement(stable, partition_from_labels(env))
-            assert quiet == labels_uniform, f"instance {i}: quotient prediction failed"
-    assert surprised and surpriseless, "the sample never exercised both outcomes"
+            require(quiet == labels_uniform, f"instance {i}: quotient prediction failed")
+    require(surprised and surpriseless, "the sample never exercised both outcomes")
     return f"100 couplings ({surpriseless} surpriseless, {surprised} surprised), all agree"
 
 
@@ -234,22 +243,30 @@ def _check_symmetry(seed: int) -> str:
             sys_ = make_random(2 + rng.below(6), 2, rng.next_u64())
         else:
             sys_ = _alternating_cycle(4 + 2 * rng.below(3))
-        if has_nontrivial_autobisimulation(sys_):  # cross-asserts both routes
+        found = has_nontrivial_autobisimulation(sys_)
+        relation = greatest_bisimulation_pairwise(sys_, sys_)
+        require(found == (len(relation) > sys_.n_states),
+                f"instance {i}: symmetry detection disagrees with the pairwise oracle")
+        require(msr(sys_, partition_from_labels(sys_)).pairs() == relation,
+                f"instance {i}: coarsest congruence differs from the pairwise oracle")
+        if found:
             with_symmetry += 1
         else:
             without += 1
-    assert with_symmetry >= 20 and without >= 20, "sample too one-sided"
-    return f"100 systems ({with_symmetry} symmetric, {without} chiral), routes agree"
+    require(with_symmetry >= 20 and without >= 20, "sample too one-sided")
+    return (f"100 systems ({with_symmetry} symmetric, {without} chiral), "
+            "engine agrees with the pairwise oracle")
 
 
 def _check_negative_control(seed: int) -> str:
     env = make_cycle(4, pointed=False)
     model, report = learn(env, 0, max_depth=8)
-    assert report.converged
-    assert model.n_states == 1
+    require(report.converged, "learning did not stabilize")
+    require(model.n_states == 1, f"{model.n_states}-state model, expected 1")
     result = verify_learned(env, 0, model)
-    assert not result.isomorphic, "a blind cycle must not be recovered exactly"
-    assert result.bisimilar and result.surpriseless
+    require(not result.isomorphic, "a blind cycle must not be recovered exactly")
+    require(result.bisimilar and result.surpriseless,
+            f"a blind cycle's model must be bisimilar and surpriseless: {result}")
     return "1-state model: bisimilar and surpriseless, not isomorphic"
 
 
@@ -266,24 +283,26 @@ def _check_union_laws(seed: int) -> str:
         # (1) every ingredient refines the join
         parts = [_rand_partition(rng, n0) for _ in range(3)]
         joined = join_partitions(n0, parts)
-        assert all(is_refinement(p, joined) for p in parts)
+        require(all(is_refinement(p, joined) for p in parts), f"instance {i}: law (1)")
         # (2) the join of stable partitions is stable
         stable = [msr(cover, _rand_partition(rng, cover.n_states)) for _ in range(2)]
-        assert is_sufficient(cover, join_partitions(cover.n_states, stable))[0]
+        require(is_sufficient(cover, join_partitions(cover.n_states, stable))[0],
+                f"instance {i}: law (2)")
         # (3) common refinements of a partition join below it
         coarse = _rand_partition(rng, n0)
         finers = [_refine_randomly(coarse, rng) for _ in range(2)]
-        assert is_refinement(join_partitions(n0, finers), coarse)
+        require(is_refinement(join_partitions(n0, finers), coarse), f"instance {i}: law (3)")
         # (4) a common refinement refines the join
         fine = _rand_partition(rng, n0)
         coarser = [_coarsen_randomly(fine, rng) for _ in range(2)]
-        assert is_refinement(fine, join_partitions(n0, coarser))
+        require(is_refinement(fine, join_partitions(n0, coarser)), f"instance {i}: law (4)")
         # (5) joining map-closed partitions stays map-closed
         closed = [_coarsen_randomly(fiber_partition(anymap), rng) for _ in range(2)]
-        assert is_map_closed(join_partitions(n0, closed), anymap)
+        require(is_map_closed(join_partitions(n0, closed), anymap), f"instance {i}: law (5)")
         # (6) the fibers refine every pulled-back partition
         e1 = _rand_partition(rng, n1)
-        assert is_refinement(fiber_partition(anymap), pullback(anymap, e1))
+        require(is_refinement(fiber_partition(anymap), pullback(anymap, e1)),
+                f"instance {i}: law (6)")
         # (7) pushing a closed partition through a surjection stays a partition
         closed_onto = _coarsen_randomly(fiber_partition(onto), rng)
         pushforward(onto, closed_onto)  # construction validates
@@ -291,16 +310,16 @@ def _check_union_laws(seed: int) -> str:
         grouped = Partition.from_block_of(
             [(e1.block_of[t], rng.below(2)) for t in range(n1)])
         sandwiched = pullback(onto, grouped)
-        assert is_refinement(pushforward(onto, sandwiched), e1)
+        require(is_refinement(pushforward(onto, sandwiched), e1), f"instance {i}: law (8)")
         # (9) images of stable closed partitions stay stable
         e_base = msr(base, _rand_partition(rng, n1))
         lifted = pullback(hom, e_base)
-        assert is_sufficient(cover, lifted)[0]
-        assert is_sufficient(base, pushforward(hom, lifted))[0]
+        require(is_sufficient(cover, lifted)[0], f"instance {i}: law (9), lift")
+        require(is_sufficient(base, pushforward(hom, lifted))[0], f"instance {i}: law (9), image")
         # (10) pullbacks of stable partitions along homomorphisms are stable
-        assert is_sufficient(cover, pullback(hom, e_base))[0]
+        require(is_sufficient(cover, pullback(hom, e_base))[0], f"instance {i}: law (10)")
         # (11) the fibers of a homomorphism are stable
-        assert is_sufficient(cover, fiber_partition(hom))[0]
+        require(is_sufficient(cover, fiber_partition(hom))[0], f"instance {i}: law (11)")
     return "100 seeds, items (1)-(11) all hold"
 
 

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .core import (
+    CheckError,
     DtsError,
     InputError,
     are_isomorphic,
@@ -96,7 +97,7 @@ def _cmd_msr(args) -> int:
     if args.oracle:
         reference = msr_bruteforce(sys_, e)
         if result != reference:
-            raise AssertionError("refinement disagrees with the brute-force oracle")
+            raise CheckError("refinement disagrees with the brute-force oracle")
         print("oracle agreement confirmed")
     Path(args.out).write_text(write_partition(result))
     print(f"wrote {result.n_blocks}-block partition to {args.out}")
@@ -201,9 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("msr", help="coarsest action-stable refinement of a partition")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--relation", choices=["labels"], default="labels",
-                   help="start from the sensor partition (default)")
-    p.add_argument("--partition", help="start from a partition file instead")
+    p.add_argument("--partition",
+                   help="start from a partition file instead of the sensor partition")
     p.add_argument("--out", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute-force enumeration (n <= 8)")

@@ -27,14 +27,27 @@ class NotConnectedError(DtsError):
     """A state required to be reachable is not."""
 
 
-def intern_names(names: list[str]) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Map a per-state name sequence to dense ids in first-occurrence order."""
-    ids: dict[str, int] = {}
+class CheckError(DtsError):
+    """A self-check failed: two computations that must agree do not."""
+
+
+def require(holds: bool, message: str):
+    """Raise ``CheckError`` unless ``holds``; unlike ``assert``, never stripped by ``-O``."""
+    if not holds:
+        raise CheckError(message)
+
+
+def intern_names(keys) -> tuple[tuple[int, ...], tuple]:
+    """Map a per-state key sequence to dense ids in first-occurrence order.
+
+    Returns the ids and the distinct keys in the order they first occur.
+    """
+    ids: dict = {}
     out = []
-    for name in names:
-        if name not in ids:
-            ids[name] = len(ids)
-        out.append(ids[name])
+    for key in keys:
+        if key not in ids:
+            ids[key] = len(ids)
+        out.append(ids[key])
     return tuple(out), tuple(ids)
 
 

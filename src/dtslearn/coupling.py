@@ -18,8 +18,10 @@ from .core import (
     PreconditionError,
     StateMap,
     TransitionSystem,
+    intern_names,
+    require,
 )
-from .partitions import Partition, msr, partition_from_labels
+from .partitions import _refine, msr, partition_from_labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +105,15 @@ def restrict(env: TransitionSystem, internal: TransitionSystem,
 
     For exploratory internal systems the environment never influences the
     internal transition, so the result carries the internal system's own
-    table; this is asserted by re-deriving every reachable transition from
+    table; this is checked by re-deriving every reachable transition from
     the product. The returned system is rooted at ``i0``.
     """
     prod = couple(env, internal, x0, i0)
     for p, (_, i) in enumerate(prod.pairs):
         for a in range(internal.n_actions):
             _, i_next = prod.pairs[prod.pair_delta[p][a]]
-            assert i_next == internal.delta[i][a], \
-                "coupled internal transition diverged from the internal table"
+            require(i_next == internal.delta[i][a],
+                    "coupled internal transition diverged from the internal table")
     return replace(internal, initial=i0)
 
 
@@ -166,19 +168,58 @@ def with_induced_labels(prod: ProductSystem) -> TransitionSystem:
         prod.internal.action_names, prod.internal.delta, names, prod.internal.initial)
 
 
+def _check_bisimulation_inputs(env: TransitionSystem, internal: TransitionSystem):
+    if env.labels is None or internal.labels is None:
+        raise InputError("both systems must be labeled")
+    if env.action_names != internal.action_names:
+        raise InputError("action alphabets differ")
+
+
+def _union_blocks(env: TransitionSystem, internal: TransitionSystem) -> list[int]:
+    """Bisimulation classes of the disjoint union of the two systems.
+
+    Environment states keep their indices; internal state ``i`` becomes
+    ``env.n_states + i``. Refinement starts from one block per label name,
+    so labels are compared by name.
+    """
+    shift = env.n_states
+    delta = env.delta + tuple(tuple(t + shift for t in row) for row in internal.delta)
+    names = [env.label_names[l] for l in env.labels]
+    names += [internal.label_names[l] for l in internal.labels]
+    return _refine(shift + internal.n_states, env.n_actions, delta, intern_names(names)[0])
+
+
 def greatest_bisimulation(
     env: TransitionSystem, internal: TransitionSystem
 ) -> frozenset[tuple[int, int]]:
     """Largest relation matching labels and closed under every action.
 
+    The coarsest stable refinement of the label-by-name partition on the
+    disjoint union of the two systems, computed by the O(m·n·log n)
+    engine behind ``msr``; ``(x, i)`` is in the relation iff ``x`` and
+    ``i`` share a block. ``greatest_bisimulation_pairwise`` is the
+    independent reference the tests compare against.
+    """
+    _check_bisimulation_inputs(env, internal)
+    block = _union_blocks(env, internal)
+    members: dict[int, list[int]] = {}
+    for i in range(internal.n_states):
+        members.setdefault(block[env.n_states + i], []).append(i)
+    return frozenset((x, i) for x in range(env.n_states)
+                     for i in members.get(block[x], ()))
+
+
+def greatest_bisimulation_pairwise(
+    env: TransitionSystem, internal: TransitionSystem
+) -> frozenset[tuple[int, int]]:
+    """Reference oracle for ``greatest_bisimulation``; O(n²) memory.
+
     Starts from all label-agreeing pairs (labels compared by name) and
     repeatedly deletes pairs with some action leading outside the relation,
-    until stable.
+    until stable. Slow but obviously right: kept for tests and the
+    acceptance suite, on no library path.
     """
-    if env.labels is None or internal.labels is None:
-        raise InputError("both systems must be labeled")
-    if env.action_names != internal.action_names:
-        raise InputError("action alphabets differ")
+    _check_bisimulation_inputs(env, internal)
     alive = [
         [env.label_names[env.labels[x]] == internal.label_names[internal.labels[i]]
          for i in range(internal.n_states)]
@@ -203,28 +244,27 @@ def greatest_bisimulation(
 
 def are_bisimilar(env: TransitionSystem, internal: TransitionSystem,
                   x0: int, i0: int) -> bool:
-    """True iff the two initial states lie in some bisimulation."""
-    return (x0, i0) in greatest_bisimulation(env, internal)
+    """True iff the two initial states lie in some bisimulation.
+
+    Compares the two states' classes in the disjoint union directly,
+    without building the relation.
+    """
+    _check_bisimulation_inputs(env, internal)
+    if not 0 <= x0 < env.n_states:
+        raise InputError(f"environment state {x0} is out of range")
+    if not 0 <= i0 < internal.n_states:
+        raise InputError(f"internal state {i0} is out of range")
+    block = _union_blocks(env, internal)
+    return block[x0] == block[env.n_states + i0]
 
 
 def has_nontrivial_autobisimulation(env: TransitionSystem) -> bool:
-    """Detect a symmetry of the environment, cross-checked two ways.
+    """Detect a symmetry of the environment: a bisimulation beyond the diagonal.
 
-    Route one: the greatest bisimulation of the environment with itself
-    strictly contains the diagonal. Route two: the coarsest congruence
-    refining the sensor partition is not the identity. The two routes must
-    agree; a mismatch raises, since it would falsify the refinement engine.
+    The greatest autobisimulation of a deterministic system is the coarsest
+    congruence refining its sensor partition, so this is one ``msr`` call,
+    O(m·n·log n): a symmetry exists iff that congruence is not the
+    identity. The acceptance suite cross-checks it against
+    ``greatest_bisimulation_pairwise``.
     """
-    if env.labels is None:
-        raise InputError("the environment must be labeled")
-    relation = greatest_bisimulation(env, env)
-    via_relation = len(relation) > env.n_states
-    congruence = msr(env, partition_from_labels(env))
-    via_msr = not congruence.is_identity
-    if via_relation != via_msr:
-        raise AssertionError(
-            "autobisimulation detection disagrees with partition refinement")
-    if env.n_states <= 512:
-        assert relation == congruence.pairs(), \
-            "greatest autobisimulation differs from the coarsest congruence"
-    return via_relation
+    return not msr(env, partition_from_labels(env)).is_identity

@@ -32,6 +32,7 @@ from .core import (
     TransitionSystem,
     canonical_form,
     are_isomorphic,
+    require,
 )
 from .coupling import couple, is_surpriseless, are_bisimilar
 from .partitions import Partition
@@ -501,12 +502,12 @@ def verify_learned(env: TransitionSystem, x0: int, model: TransitionSystem) -> V
     Checks anchored isomorphism, bisimilarity of the initial states, and
     surpriselessness of the coupling. The latter two must agree for models
     whose labels reflect what was actually observed (as learned models do);
-    a mismatch raises.
+    a mismatch raises ``CheckError``.
     """
     if model.labels is None or model.initial is None:
         raise InputError("the model must be labeled and carry an initial state")
     iso, _ = are_isomorphic(env, model, anchored=True, anchor_a=x0)
     bis = are_bisimilar(env, model, x0, model.initial)
     sur = is_surpriseless(couple(env, model, x0, model.initial))[0]
-    assert bis == sur, "bisimilarity and surpriselessness disagree on a learned model"
+    require(bis == sur, "bisimilarity and surpriselessness disagree on a learned model")
     return VerifyReport(iso, bis, sur)

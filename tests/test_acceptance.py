@@ -1,5 +1,10 @@
 """Acceptance gate: every check must pass, within its time budget, at seed 42."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dtslearn.acceptance import _CHECKS, run_check
@@ -21,3 +26,43 @@ def test_suite_is_deterministic_for_a_seed():
     a = run_check(4, SEED)
     b = run_check(4, SEED)
     assert (a.ok, a.detail) == (b.ok, b.detail)
+
+
+def test_surprised_coupling_accepted_by_induced_label_fails_check(monkeypatch):
+    import dtslearn.acceptance
+
+    monkeypatch.setattr(dtslearn.acceptance, "induced_label", lambda prod: None)
+    result = run_check(7, SEED)
+    assert not result.ok
+    assert "surprised but the induced sensor map was accepted" in result.detail
+
+
+_BROKEN_ENGINE = """
+import sys
+from dtslearn import acceptance, coupling, partitions
+
+if not sys.flags.optimize:
+    raise SystemExit("expected to run under python -O")
+for index in (4, 8):
+    print(index, acceptance.run_check(index, 42).ok)
+
+def unrefined(n, n_actions, delta, block_of):
+    return list(block_of)
+
+partitions._refine = coupling._refine = unrefined
+for index in (4, 8):
+    print(index, acceptance.run_check(index, 42).ok)
+"""
+
+
+def test_checks_catch_a_broken_engine_under_optimize_flag():
+    """Gates must hold under ``python -O``, which strips ``assert`` statements."""
+    import dtslearn
+
+    src = str(Path(dtslearn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_ENGINE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:4] == ["4 True", "8 True", "4 False", "8 False"]

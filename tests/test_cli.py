@@ -78,6 +78,19 @@ class TestMsrAndQuotient:
         assert "oracle agreement" in stdout
         assert parse_partition(out.read_text()).is_identity
 
+    def test_oracle_disagreement_exits_two(self, tmp_path, capsys, monkeypatch):
+        import dtslearn.cli
+        from dtslearn import Partition
+
+        monkeypatch.setattr(dtslearn.cli, "msr",
+                            lambda sys_, e: Partition.single_block(sys_.n_states))
+        src = tmp_path / "line.dts"
+        src.write_text(write_dts(make_line(4)))
+        code, _, stderr = run(capsys, "msr", "--in", str(src), "--out",
+                              str(tmp_path / "part.txt"), "--oracle")
+        assert code == 2
+        assert stderr.startswith("error:") and "oracle" in stderr
+
     def test_msr_from_partition_file(self, tmp_path, capsys):
         src = tmp_path / "cycle.dts"
         src.write_text(write_dts(make_cycle(4, pointed=False)))

@@ -1,0 +1,159 @@
+"""The refinement engine against slow references, beyond the 8-state brute-force limit.
+
+``moore_msr`` is the Moore-round loop ``msr`` used before the Hopcroft
+engine: each round splits every block by the vector of successor blocks,
+until nothing changes. It is quadratic but obviously right, so it serves as
+the reference here, next to ``greatest_bisimulation_pairwise``.
+"""
+
+import pytest
+
+from dtslearn import (
+    ArmSpec,
+    InputError,
+    Partition,
+    TransitionSystem,
+    are_bisimilar,
+    greatest_bisimulation,
+    greatest_bisimulation_pairwise,
+    make_arm,
+    make_line,
+    msr,
+    partition_from_labels,
+    quotient,
+)
+from dtslearn.acceptance import _random_cover
+from dtslearn.core import intern_names
+from dtslearn.envs import SplitMix64
+
+
+def moore_msr(sys, e):
+    cur = e.block_of
+    actions = range(sys.n_actions)
+    for _ in range(sys.n_states + 1):
+        sig = [(cur[s],) + tuple(cur[sys.delta[s][a]] for a in actions)
+               for s in range(sys.n_states)]
+        nxt, _ = intern_names(sig)
+        if nxt == cur:
+            return Partition.from_block_of(cur)
+        cur = nxt
+    raise RuntimeError("splitting failed to reach a fixpoint")
+
+
+def rand_partition(rng, n):
+    width = 1 + rng.below(n)
+    return Partition.from_block_of([rng.below(width) for _ in range(n)])
+
+
+def random_system(rng, n, m, label_names=("a", "b", "c")):
+    """Any total transition table, not necessarily connected; labels drawn from the names."""
+    delta = [[rng.below(n) for _ in range(m)] for _ in range(n)]
+    k = 1 + rng.below(len(label_names))
+    labels = [label_names[rng.below(k)] for _ in range(n)]
+    return TransitionSystem.from_tables(tuple(f"act{a}" for a in range(m)), delta, labels)
+
+
+def labeled_cover(base, rng, label_names):
+    """A random cover of ``base`` whose states carry their image's label, renamed."""
+    cover, h = _random_cover(base, rng)
+    labels = [label_names[base.labels[h(s)]] for s in range(cover.n_states)]
+    return TransitionSystem.from_tables(cover.action_names, cover.delta, labels)
+
+
+def reversed_states(sys):
+    """The same system with states numbered backwards, so label ids come out in another order."""
+    last = sys.n_states - 1
+    delta = [[last - t for t in sys.delta[last - s]] for s in range(sys.n_states)]
+    labels = [sys.label_name_of(last - s) for s in range(sys.n_states)]
+    return TransitionSystem.from_tables(sys.action_names, delta, labels)
+
+
+def three_joint_arm():
+    obstacles = frozenset({(1, 2, 3), (4, 0, 2), (2, 2, 2)})
+    return make_arm(ArmSpec(3, 5, obstacles, (0, 0, 0)))
+
+
+class TestMsrAgainstMooreRounds:
+    def test_random_systems(self):
+        rng = SplitMix64(101)
+        for _ in range(60):
+            sys = random_system(rng, 9 + rng.below(192), 1 + rng.below(4))
+            for e in (partition_from_labels(sys), rand_partition(rng, sys.n_states)):
+                assert msr(sys, e) == moore_msr(sys, e)
+
+    def test_random_covers_keep_nontrivial_blocks(self):
+        rng = SplitMix64(102)
+        for _ in range(30):
+            base = random_system(rng, 3 + rng.below(6), 1 + rng.below(4))
+            cover = labeled_cover(base, rng, {0: "x", 1: "y", 2: "z"})
+            e = partition_from_labels(cover)
+            assert msr(cover, e) == moore_msr(cover, e)
+
+    @pytest.mark.parametrize("n", [9, 64, 200])
+    def test_lines(self, n):
+        line = make_line(n)
+        rng = SplitMix64(n)
+        for e in (partition_from_labels(line), rand_partition(rng, n), Partition.single_block(n)):
+            assert msr(line, e) == moore_msr(line, e)
+
+    def test_three_joint_arm(self):
+        arm = three_joint_arm()
+        rng = SplitMix64(103)
+        for e in [partition_from_labels(arm)] + [rand_partition(rng, arm.n_states)
+                                                 for _ in range(5)]:
+            assert msr(arm, e) == moore_msr(arm, e)
+
+
+class TestBisimulationAgainstPairwise:
+    def test_random_pairs_with_differing_label_names(self):
+        rng = SplitMix64(201)
+        for _ in range(40):
+            m = 1 + rng.below(4)
+            env = random_system(rng, 9 + rng.below(40), m, ("a", "b", "c"))
+            internal = random_system(rng, 9 + rng.below(40), m, ("c", "z", "a"))
+            assert greatest_bisimulation(env, internal) == \
+                greatest_bisimulation_pairwise(env, internal)
+
+    def test_covers_against_their_base(self):
+        rng = SplitMix64(202)
+        for _ in range(30):
+            base = random_system(rng, 3 + rng.below(10), 1 + rng.below(4))
+            names = {0: "a", 1: "b", 2: "c"}
+            env = labeled_cover(base, rng, names)
+            # bisimilar to env, with the same names under other label ids
+            internal = reversed_states(labeled_cover(base, rng, names))
+            relation = greatest_bisimulation(env, internal)
+            assert relation == greatest_bisimulation_pairwise(env, internal)
+            assert {x for x, _ in relation} == set(range(env.n_states))
+
+    def test_three_joint_arm_against_its_quotient(self):
+        arm = three_joint_arm()
+        free = make_arm(ArmSpec(3, 4, frozenset(), (0, 0, 0)))
+        # without obstacles, state s has the last joint at s % 4: label its parity
+        striped = TransitionSystem.from_tables(
+            free.action_names, free.delta, ["odd" if s % 2 else "even" for s in range(free.n_states)])
+        q, _ = quotient(striped, msr(striped, partition_from_labels(striped)))
+        for env, internal in ((striped, q), (q, striped), (arm, arm)):
+            assert greatest_bisimulation(env, internal) == \
+                greatest_bisimulation_pairwise(env, internal)
+
+    def test_are_bisimilar_is_membership_in_the_relation(self):
+        rng = SplitMix64(203)
+        names = {0: "a", 1: "b", 2: "c"}
+        for k in range(16):
+            base = random_system(rng, 3 + rng.below(5), 1 + rng.below(3))
+            env = labeled_cover(base, rng, names)
+            if k % 2:
+                internal = random_system(rng, 9 + rng.below(12), base.n_actions, ("b", "a", "c"))
+            else:
+                internal = reversed_states(labeled_cover(base, rng, names))
+            relation = greatest_bisimulation_pairwise(env, internal)
+            for x in range(env.n_states):
+                for i in range(internal.n_states):
+                    assert are_bisimilar(env, internal, x, i) == ((x, i) in relation)
+
+    def test_are_bisimilar_rejects_states_out_of_range(self):
+        line = make_line(4)
+        for x0, i0 in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+            with pytest.raises(InputError):
+                are_bisimilar(line, line, x0, i0)
