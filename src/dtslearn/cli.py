@@ -148,7 +148,7 @@ def _cmd_surprise(args) -> int:
 def _cmd_learn(args) -> int:
     env = _load(args.env)
     x0 = args.x0 if args.x0 is not None else _initial_of(env, "environment")
-    model, report = learn(env, x0, args.max_depth)
+    model, report = learn(env, x0, args.max_depth, min_depth=args.min_depth)
     print(report.summary())
     if model is not None and args.out:
         Path(args.out).write_text(write_dts(model))
@@ -236,6 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", required=True)
     p.add_argument("--x0", type=int)
     p.add_argument("--max-depth", type=int, required=True)
+    p.add_argument("--min-depth", type=int, default=2,
+                   help="refuse convergence claims from depths below this")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_learn)
 

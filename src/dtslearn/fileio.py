@@ -30,8 +30,8 @@ class ParseError(DtsError):
         self.line_no = line_no
 
 
-def _content_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+def _content_lines(raw_lines: list[str]):
+    for line_no, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line_no, line.split()
@@ -49,7 +49,8 @@ def _parse_count(token: str, line_no: int, what: str) -> int:
 
 def parse_dts(text: str) -> TransitionSystem:
     """Parse the line format above into a validated system."""
-    lines = _content_lines(text)
+    raw_lines = text.splitlines()
+    lines = _content_lines(raw_lines)
 
     def next_line(expect: str):
         for line_no, tokens in lines:
@@ -60,12 +61,12 @@ def parse_dts(text: str) -> TransitionSystem:
     if tokens != ["dts"]:
         raise ParseError(line_no, f"expected 'dts' header, got {' '.join(tokens)!r}")
 
-    line_no, tokens = next_line("'states N'")
+    states_line, tokens = next_line("'states N'")
     if len(tokens) != 2 or tokens[0] != "states":
-        raise ParseError(line_no, "expected 'states N'")
-    n_states = _parse_count(tokens[1], line_no, "state count")
+        raise ParseError(states_line, "expected 'states N'")
+    n_states = _parse_count(tokens[1], states_line, "state count")
     if n_states < 1:
-        raise ParseError(line_no, "need at least one state")
+        raise ParseError(states_line, "need at least one state")
 
     line_no, tokens = next_line("'actions ...'")
     if len(tokens) < 2 or tokens[0] != "actions":
@@ -73,6 +74,9 @@ def parse_dts(text: str) -> TransitionSystem:
     action_names = tokens[1:]
     if len(set(action_names)) != len(action_names):
         raise ParseError(line_no, "action names must be distinct")
+    if n_states * len(action_names) > len(raw_lines):  # checked before allocating the table
+        raise ParseError(states_line, "more transitions are needed than the input has lines")
+    del raw_lines  # the line iterator frees them once it is exhausted
 
     line_no, tokens = next_line("'labels', 'init' or 'trans'")
     state_labels = None
@@ -139,7 +143,7 @@ def parse_partition(text: str) -> Partition:
     """One block per line, space-separated state indices."""
     blocks = []
     n_states = 0
-    for line_no, tokens in _content_lines(text):
+    for line_no, tokens in _content_lines(text.splitlines()):
         block = [_parse_count(tok, line_no, "state index") for tok in tokens]
         blocks.append(block)
         n_states += len(block)
@@ -159,7 +163,7 @@ def write_partition(part: Partition) -> str:
 def parse_obstacles(text: str, joints: int, resolution: int) -> frozenset[tuple[int, ...]]:
     """One forbidden configuration per line, space-separated joint positions."""
     out = set()
-    for line_no, tokens in _content_lines(text):
+    for line_no, tokens in _content_lines(text.splitlines()):
         if len(tokens) != joints:
             raise ParseError(line_no, f"expected {joints} joint positions")
         conf = tuple(_parse_count(tok, line_no, "joint position") for tok in tokens)

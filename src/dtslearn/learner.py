@@ -2,28 +2,27 @@
 
 The learner drives an environment through a stepping oracle (start a
 session at the hidden initial state, apply actions, read sensor values);
-it never sees states or the transition table. Histories form a truncated
-action trie with one observation per node. Nodes that cannot be told apart
-by any continuation up to a horizon are merged, and the merged classes form
-a candidate model of the environment. Deepening the trie until two
-successive candidates agree yields, for well-behaved environments, a model
-isomorphic to the environment itself.
+it never sees states or the transition table. Words that no continuation
+tells apart are merged, and the merged classes form a candidate model of
+the environment. Deepening until two successive candidates agree yields,
+for well-behaved environments, a model isomorphic to the environment.
 
-Two interchangeable realizations of the per-depth candidate are provided:
+Two realizations of the per-depth candidate are provided:
 
 * ``trie`` materializes the complete trie of all action words up to the
-  depth and partitions its nodes by iterated splitting. Exact but
-  exponential in the depth; used below a node budget.
-* ``frontier`` keeps one representative word per distinguishable behavior
-  and compares observation trees of bounded horizon. Polynomial in the
-  environment size; produces the same candidates whenever representative
-  choice is immaterial, which the deepening stop rule cross-checks.
+  depth and partitions its nodes by iterated splitting over a horizon.
+  Exact, but exponential in the depth; used below a node budget.
+* ``frontier`` runs an L*/L#-style observation table over one query cache
+  shared by all depths: suffixes are added only where two words of a row
+  disagree or the hypothesis fails a test (counterexamples reduced as in
+  Rivest & Schapire). Polynomial in the environment size.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby, product
+from time import perf_counter
 
 import numpy as np
 
@@ -35,10 +34,12 @@ from .core import (
     require,
 )
 from .coupling import couple, is_surpriseless, are_bisimilar
+from .envs import SplitMix64
 from .partitions import Partition
 
 EXPLORE_NODE_BUDGET = 1 << 25
 DEFAULT_TRIE_BUDGET = 500_000
+TABLE_SUITE_SIZE = 32  # test suffixes per depth once there are more words of horizon length
 
 
 def count_nodes(n_actions: int, depth: int) -> int:
@@ -299,96 +300,146 @@ def build_model(trie: HistoryTrie, horizon: int) -> tuple[TransitionSystem | Non
     return model, BuildReport(True, True, True, part.n_blocks, n_eligible)
 
 
-def _signature(oracle: EnvOracle, word, horizon: int) -> tuple[bytes, int]:
-    """Observation tree of ``horizon`` continuations after ``word``, as bytes."""
-    m = oracle.n_actions
-    sessions = m ** horizon
-    obs = oracle.start(sessions)
+def _walk(table: np.ndarray, nodes, word) -> np.ndarray:
+    """Follow ``word`` (actions, or columns of actions) from ``nodes`` through ``table``."""
     for a in word:
-        obs = oracle.step(a)
-    parts = [obs[:1]]
-    for j in range(1, horizon + 1):
-        stride = m ** (horizon - j)
-        obs = oracle.step((np.arange(sessions) // stride) % m)
-        parts.append(obs[::stride])
-    flat = np.concatenate(parts).astype(np.int32)
-    return flat.tobytes(), int(flat[0])
+        nodes = table[nodes, a]
+    return nodes
 
 
-def _frontier_model(oracle: EnvOracle, depth: int,
-                    horizon: int) -> tuple[TransitionSystem | None, BuildReport]:
-    """Candidate model via representative words instead of the full trie.
+class _ObservationTable:
+    """Access words and a growing suffix set over one query cache, kept for a whole run.
 
-    One representative word is kept per distinct bounded observation tree,
-    discovered breadth-first. Every shallow explored word is then checked to
-    drive its class the same way the class representative does, using
-    observations no deeper than the trie realization would read; member
-    disagreements beyond the explored words are invisible here, and the
-    caller's deepening stop rule is the safeguard against those.
+    ``tree[v]`` holds the child of node ``v`` under each action, then the sensor
+    value seen there; node 1 is the empty word, node 0 every word not asked yet
+    (its children are itself, its value -1). Rows grow in place with the suffixes.
     """
-    max_state_len = depth - horizon - 1  # same shallowness rule as the trie build
-    if max_state_len < 0:
-        return None, BuildReport(False, True, False, 0, 0,
-                                 "trie too shallow: no node has classified children")
-    m = oracle.n_actions
-    sigs: dict[tuple[int, ...], tuple[bytes, int]] = {}
 
-    def sig_of(word: tuple[int, ...]) -> tuple[bytes, int]:
-        if word not in sigs:
-            sigs[word] = _signature(oracle, word, horizon)
-        return sigs[word]
+    def __init__(self, oracle: EnvOracle):
+        self.oracle, self.m = oracle, oracle.n_actions
+        self.tree = np.zeros((1024, self.m + 1), dtype=np.int32)
+        self.tree[:, -1] = -1
+        self.size = 2
+        self.suffixes: list[tuple[int, ...]] = [()]
+        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    first, label = sig_of(())
-    reps: list[tuple[int, ...]] = [()]
-    labels = [label]
-    known = {first: 0}
-    rows: list[list[int] | None] = [None]
-    queue = deque([0])
-    while queue:
-        r = queue.popleft()
-        word = reps[r]
-        row = []
-        for a in range(m):
-            child = word + (a,)
-            sig, label = sig_of(child)
-            target = known.get(sig)
-            if target is None:
-                target = known[sig] = len(reps)
-                reps.append(child)
-                labels.append(label)
-                rows.append(None)
-                if len(child) <= max_state_len:
-                    queue.append(target)
-            row.append(target)
-        rows[r] = row
-    # discovery is breadth-first, so the shallow representatives come first
-    n_states = sum(1 for w in reps if len(w) <= max_state_len)
-    for r in range(n_states):
-        for a, target in enumerate(rows[r]):
-            if target >= n_states:
-                report = BuildReport(
-                    False, True, False, len(reps), n_states,
-                    f"not closed: class {r} leads under action "
-                    f"{oracle.action_names[a]!r} to a class with no shallow member")
-                return None, report
-    for r in range(n_states):
-        for a in range(m):
-            word = reps[r] + (a,)
-            c = rows[r][a]
-            if len(word) > max_state_len or word == reps[c]:
-                continue
-            for b in range(m):
-                if sig_of(word + (b,))[0] != sig_of(reps[c] + (b,))[0]:
-                    report = BuildReport(
-                        False, False, True, len(reps), n_states,
-                        f"class {c} is inconsistent: words {list(reps[c])} and "
-                        f"{list(word)} disagree under action "
-                        f"{oracle.action_names[b]!r}")
-                    return None, report
-    state_labels = [oracle.label_names[labels[r]] for r in range(n_states)]
-    model = TransitionSystem.from_tables(
-        oracle.action_names, [rows[r] for r in range(n_states)], state_labels, initial=0)
-    return model, BuildReport(True, True, True, len(reps), n_states)
+    def _nodes(self, words) -> np.ndarray:
+        """The node of each word, after asking the oracle for those not seen yet."""
+        out = np.zeros(len(words), dtype=np.int32)
+        order = sorted(range(len(words)), key=lambda i: len(words[i]))
+        for n, idx in groupby(order, key=lambda i: len(words[i])):
+            idx = list(idx)
+            cols = np.array([words[i] for i in idx]).reshape(len(idx), n).T
+            out[idx] = _walk(self.tree, np.ones(len(idx), dtype=np.int32), cols)
+        missing = np.flatnonzero(self.tree[out, -1] < 0)
+        if len(missing):
+            self._ask([words[i] for i in missing])
+            out[missing] = self._nodes([words[i] for i in missing])
+        return out
+
+    def _ask(self, words):
+        """Replay the missing words not prefixes of others, one batch of sessions per length."""
+        words = sorted(set(words))
+        longest = [w for w, nxt in zip(words, words[1:]) if nxt[:len(w)] != w] + words[-1:]
+        for n, group in groupby(sorted(longest, key=len), key=len):
+            group = list(group)
+            cols = np.array(group).reshape(len(group), n).T
+            self.tree[1, -1] = self.oracle.start(len(group))[0]
+            v = np.ones(len(group), dtype=np.int64)
+            for col in cols:
+                seen = self.oracle.step(col)
+                new = np.flatnonzero(self.tree[v, col] == 0)
+                if len(new):
+                    key, first = np.unique(v[new] * self.m + col[new], return_index=True)
+                    ids = np.arange(self.size, self.size + len(key))
+                    self.size += len(key)
+                    if self.size > len(self.tree):  # grow by copies of the blank node 0
+                        self.tree = np.concatenate([self.tree, self.tree[:1].repeat(self.size, 0)])
+                    self.tree[key // self.m, key % self.m] = ids
+                    self.tree[ids, -1] = seen[new[first]]
+                v = self.tree[v, col]
+
+    def _rows(self, words) -> list[tuple[int, ...]]:
+        """Each word's observations under every suffix, extending stored rows."""
+        todo: dict[int, list] = {}
+        for w in dict.fromkeys(words):
+            todo.setdefault(len(self.rows.get(w, ())), []).append(w)
+        todo.pop(len(self.suffixes), None)  # rows already complete
+        for done, group in todo.items():
+            nodes = self._nodes([w + e for w in group for e in self.suffixes[done:]])
+            for w, extra in zip(group, self.tree[nodes, -1].reshape(len(group), -1).tolist()):
+                self.rows[w] = self.rows.get(w, ()) + tuple(extra)
+        return [self.rows[w] for w in words]
+
+    def build(self, depth: int, horizon: int) -> tuple[TransitionSystem | None, BuildReport]:
+        """Close, make consistent and test the table; the hypothesis on the shallow words."""
+        max_len = depth - horizon - 1  # same shallowness rule as the trie build
+        m, actions = self.m, self.oracle.action_names
+        rng = SplitMix64(depth)  # tests depend on the depth alone
+        tests = (list(product(range(m), repeat=horizon)) if m ** horizon <= TABLE_SUITE_SIZE else
+                 [tuple(rng.below(m) for _ in range(horizon)) for _ in range(TABLE_SUITE_SIZE)])
+        while True:
+            # representatives: the first word of each row, breadth-first
+            reps, targets, level = [()], [], [0]
+            known = {self._rows([()])[0]: 0}
+            while level:
+                kids, first = [reps[r] + (a,) for r in level for a in range(m)], len(reps)
+                for w, row in zip(kids, self._rows(kids)):
+                    if known.setdefault(row, len(reps)) == len(reps):
+                        reps.append(w)
+                    targets.append(known[row])
+                level = [r for r in range(first, len(reps)) if len(reps[r]) <= max_len]
+            n = len(targets) // m
+            delta = [targets[r * m:(r + 1) * m] for r in range(n)]
+            for r, a in product(range(n), range(m)):
+                if delta[r][a] >= n:
+                    return None, BuildReport(
+                        False, True, False, len(reps), n,
+                        f"not closed: class {r} leads under action {actions[a]!r} "
+                        "to a class with no shallow member")
+            # consistent: a word's successors share its representative's rows
+            ext = [(reps[r] + (a, b), reps[c] + (b,), delta[c][b])
+                   for r in range(n) for a, c in enumerate(delta[r])
+                   if len(reps[r]) < max_len and reps[r] + (a,) != reps[c] for b in range(m)]
+            for (w, twin, _), row in zip(ext, self._rows([w for w, _, _ in ext])):
+                if row != self.rows[twin]:
+                    k = next(k for k, (x, y) in enumerate(zip(row, self.rows[twin])) if x != y)
+                    suffix = (w[-1],) + self.suffixes[k]
+                    break
+            else:
+                cover = (reps[:n] + [reps[r] + (a,) for r in range(n) for a in range(m)]
+                         + [w for w, _, _ in ext])
+                states = list(range(n)) + targets + [q for _, _, q in ext]
+                suffix = self._counterexample(cover, states, tests, reps, delta)
+                if suffix is None:
+                    break
+            self.suffixes.append(suffix)
+        labels = [self.oracle.label_names[self.rows[w][0]] for w in reps[:n]]
+        model = TransitionSystem.from_tables(actions, delta, labels, initial=0)
+        return model, BuildReport(True, True, True, len(reps), n)
+
+    def _counterexample(self, cover, states, tests, reps, delta):
+        """A suffix splitting a row, from the first cover-times-test word labeled wrong.
+
+        As in Rivest & Schapire, with ``acc(x)`` the representative reached by
+        ``x``, some ``i`` has ``obs(acc(w[:i]) w[i:]) != obs(acc(w[:i+1]) w[i+1:])``.
+        """
+        cols = np.array(tests).reshape(len(tests), -1).T
+        start = self._nodes(cover)[:, None].repeat(len(tests), 1)
+        seen = self.tree[_walk(self.tree, start, cols), -1]
+        if (seen < 0).any():
+            self._ask([cover[i] + tests[j] for i, j in np.argwhere(seen < 0).tolist()])
+            seen = self.tree[_walk(self.tree, start, cols), -1]
+        labels = np.array([self.rows[w][0] for w in reps[:len(delta)]])
+        hyp = _walk(np.array(delta), np.array(states)[:, None].repeat(len(tests), 1), cols)
+        bad = np.argwhere(seen != labels[hyp])
+        if not len(bad):
+            return None
+        w = cover[bad[0][0]] + tests[bad[0][1]]
+        q = list(accumulate(w, lambda state, a: delta[state][a], initial=0))
+        probes = self._nodes([reps[q[i]] + w[i:] for i in range(len(w) + 1)])
+        probes = self.tree[probes, -1]
+        return w[next(i for i in range(len(w)) if probes[i] != probes[i + 1]) + 1:]
 
 
 @dataclass(frozen=True)
@@ -399,6 +450,9 @@ class DepthAttempt:
     ok: bool
     n_states: int
     detail: str
+    resets: int
+    steps: int
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -416,7 +470,8 @@ class LearnReport:
         lines = []
         for att in self.attempts:
             outcome = f"{att.n_states}-state model" if att.ok else att.detail
-            lines.append(f"depth {att.depth} (horizon {att.horizon}, {att.method}): {outcome}")
+            lines.append(f"depth {att.depth} (horizon {att.horizon}, {att.method}): {outcome} "
+                         f"[{att.resets} resets, {att.steps} steps, {att.seconds:.3f} s]")
         if self.converged:
             lines.append(f"converged at depth {self.depth_converged} "
                          f"(confirmed at depth {self.depth_stopped})")
@@ -424,13 +479,6 @@ class LearnReport:
             lines.append(f"no convergence by depth {self.depth_stopped}")
         lines.append(f"oracle calls: {self.oracle_resets} resets, {self.oracle_steps} steps")
         return "\n".join(lines)
-
-
-def _build_at(oracle: EnvOracle, depth: int, horizon: int, use_trie: bool):
-    if use_trie:
-        trie = explore(oracle, None, depth)
-        return build_model(trie, horizon)
-    return _frontier_model(oracle, depth, horizon)
 
 
 def learn(env, x0: int | None, max_depth: int, method: str = "auto",
@@ -444,10 +492,14 @@ def learn(env, x0: int | None, max_depth: int, method: str = "auto",
     depths is a heuristic; the candidate at depth ``D`` is guaranteed exact
     only once ``D`` reaches twice the true model size, so callers who know
     a bound can raise ``min_depth`` to refuse convergence claims from
-    shallower pairs. ``method`` picks the per-depth realization: "trie",
-    "frontier", or "auto" (trie below ``trie_node_budget`` nodes). Returns
-    the stabilized model in canonical form, or the last candidate (possibly
-    None) when the depth budget runs out, together with a report.
+    shallower pairs.
+
+    ``method`` picks the per-depth realization: "trie" (the full trie,
+    ``m**depth`` words), "frontier" (an observation table over one query
+    cache, polynomial in the model size), or "auto" (trie below
+    ``trie_node_budget`` nodes). Returns the stabilized model in canonical
+    form, or the last candidate (possibly None) when the depth budget runs
+    out, together with a report that gives each depth's oracle calls and time.
     """
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
@@ -455,6 +507,7 @@ def learn(env, x0: int | None, max_depth: int, method: str = "auto",
         raise InputError(f"unknown method {method!r}")
     oracle = _as_oracle(env, x0)
     resets0, steps0 = oracle.resets, oracle.steps
+    table = _ObservationTable(oracle)  # one query cache for every depth
     attempts: list[DepthAttempt] = []
     prev_model: TransitionSystem | None = None
     prev_depth: int | None = None
@@ -462,19 +515,20 @@ def learn(env, x0: int | None, max_depth: int, method: str = "auto",
     for depth in range(2, max_depth + 1, 2):
         last_depth = depth
         horizon = depth // 2
-        if method == "trie":
-            use_trie = True
-            if count_nodes(oracle.n_actions, depth) > trie_node_budget:
-                raise InputError(
-                    f"depth {depth} exceeds the trie node budget; "
-                    "use method='auto' or 'frontier'")
-        elif method == "frontier":
-            use_trie = False
+        use_trie = (method != "frontier"
+                    and count_nodes(oracle.n_actions, depth) <= trie_node_budget)
+        if method == "trie" and not use_trie:
+            raise InputError(f"depth {depth} exceeds the trie node budget; "
+                             "use method='auto' or 'frontier'")
+        resets, steps, t0 = oracle.resets, oracle.steps, perf_counter()
+        if use_trie:
+            model, report = build_model(explore(oracle, None, depth), horizon)
         else:
-            use_trie = count_nodes(oracle.n_actions, depth) <= trie_node_budget
-        model, report = _build_at(oracle, depth, horizon, use_trie)
-        attempts.append(DepthAttempt(depth, horizon, "trie" if use_trie else "frontier",
-                                     report.ok, report.n_model_states, report.detail))
+            model, report = table.build(depth, horizon)
+        attempts.append(DepthAttempt(
+            depth, horizon, "trie" if use_trie else "frontier", report.ok,
+            report.n_model_states, report.detail, oracle.resets - resets,
+            oracle.steps - steps, perf_counter() - t0))
         if model is None:
             prev_model, prev_depth = None, None
             continue

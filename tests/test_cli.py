@@ -1,6 +1,7 @@
 import pytest
 
-from dtslearn import make_cycle, make_line, parse_dts, parse_partition, write_dts
+from dtslearn import (
+    TransitionSystem, make_cycle, make_line, parse_dts, parse_partition, write_dts)
 from dtslearn.cli import main
 
 
@@ -137,6 +138,23 @@ class TestEndToEnd:
         code, _, _ = run(capsys, "iso", "--a", str(env_file), "--b", str(model_file),
                          "--anchored")
         assert code == 0
+
+    def test_min_depth_flag_rules_out_early_agreement(self, tmp_path, capsys):
+        # the early-agreement system of the learner tests: blank states alias
+        # at low horizons, so only the depth floor gives the exact model
+        env_file = tmp_path / "env.dts"
+        env_file.write_text(write_dts(TransitionSystem.from_tables(
+            ("u0", "u1"),
+            [[0, 6], [3, 3], [0, 4], [4, 5], [2, 7], [5, 1], [5, 6], [6, 2]],
+            ["click"] + ["blank"] * 7, 0)))
+        for floor, isomorphic in ((None, 1), ("16", 0)):
+            model_file = tmp_path / f"model{floor}.dts"
+            flags = ["--min-depth", floor] if floor else []
+            code, stdout, _ = run(capsys, "learn", "--env", str(env_file), "--max-depth", "22",
+                                  *flags, "--out", str(model_file))
+            assert code == 0 and "resets" in stdout.splitlines()[0]
+            assert run(capsys, "iso", "--a", str(env_file), "--b", str(model_file),
+                       "--anchored")[0] == isomorphic
 
     def test_surprise_witness_output(self, tmp_path, capsys):
         env_file = tmp_path / "env.dts"

@@ -66,6 +66,14 @@ class TestParseDts:
         with pytest.raises(ParseError, match="out of range"):
             parse_dts(LINE4_TEXT.replace("trans 0 L 0", "trans 0 L 9"))
 
+    def test_huge_header_fails_before_allocating(self):
+        # a complete system needs one line per transition, so a four-line text
+        # cannot hold 2 x 10^6 of them: the header alone is rejected. (10^6, not
+        # the 10^9 the format allows, so that a parser that builds the table
+        # first fails this test on its message instead of exhausting memory.)
+        with pytest.raises(ParseError, match="line 2: more transitions"):
+            parse_dts("dts\nstates 1000000\nactions a b\ntrans 0 a 0\n")
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="unknown directive"):
             parse_dts(LINE4_TEXT + "loop 0\n")

@@ -265,6 +265,43 @@ class TestLearn:
         assert report.converged
         assert are_isomorphic(env, patient, anchored=True)[0]
 
+    def test_per_depth_costs_add_up_to_the_totals(self):
+        env = make_random(6, 3, 77)
+        _, report = learn(env, 0, 14, trie_node_budget=200)
+        assert {att.method for att in report.attempts} == {"trie", "frontier"}
+        assert sum(att.resets for att in report.attempts) == report.oracle_resets
+        assert sum(att.steps for att in report.attempts) == report.oracle_steps
+        assert all(att.seconds >= 0 for att in report.attempts)
+        first = report.attempts[0]
+        assert f"{first.resets} resets, {first.steps} steps" in report.summary()
+
+    def test_table_recovers_the_congruence_quotient(self):
+        rng = SplitMix64(35)
+        for _ in range(40):
+            n = 2 + rng.below(7)
+            env = make_random(n, 2 + rng.below(3), rng.next_u64(),
+                              pointed=bool(rng.below(2)))
+            model, report = learn(env, 0, 2 * n + 6, method="frontier", min_depth=2 * n)
+            assert report.converged
+            reference, _ = quotient(env, msr(env, partition_from_labels(env)))
+            assert are_isomorphic(model, reference, anchored=True)[0]
+
+    def test_table_cost_stays_polynomial_in_the_depth(self):
+        # the full trie at depth 68 would need 2^34 sessions per word
+        _, report = learn(make_line(80), 0, 68, method="frontier")
+        assert not report.converged
+        assert report.oracle_resets < 10 ** 6
+
+    def test_table_learns_the_34_state_arm(self):
+        spec = ArmSpec(joints=2, resolution=6, obstacles=frozenset({(1, 1), (4, 4)}),
+                       click=(0, 0))
+        env = make_arm(spec)
+        assert env.n_states == 34
+        model, report = learn(env, env.initial, 20)
+        assert report.converged and report.attempts[-1].method == "frontier"
+        assert are_isomorphic(env, model, anchored=True, anchor_a=env.initial)[0]
+        assert report.oracle_resets < 10 ** 6
+
     def test_torus_group_action_is_recovered(self):
         spec = ArmSpec(joints=2, resolution=4, obstacles=frozenset(), click=(0, 0))
         env = make_arm(spec)
