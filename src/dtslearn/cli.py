@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int)
     p.add_argument("--max-depth", type=int, required=True)
     p.add_argument("--min-depth", type=int, default=2,
-                   help="refuse convergence claims from depths below this")
+                   help="refuse convergence claims below this depth; 2n is exact for n states")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_learn)
 

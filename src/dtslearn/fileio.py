@@ -30,8 +30,8 @@ class ParseError(DtsError):
         self.line_no = line_no
 
 
-def _content_lines(raw_lines: list[str]):
-    for line_no, raw in enumerate(raw_lines, start=1):
+def _content_lines(text: str):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line_no, line.split()
@@ -49,8 +49,7 @@ def _parse_count(token: str, line_no: int, what: str) -> int:
 
 def parse_dts(text: str) -> TransitionSystem:
     """Parse the line format above into a validated system."""
-    raw_lines = text.splitlines()
-    lines = _content_lines(raw_lines)
+    lines = _content_lines(text)
 
     def next_line(expect: str):
         for line_no, tokens in lines:
@@ -74,9 +73,8 @@ def parse_dts(text: str) -> TransitionSystem:
     action_names = tokens[1:]
     if len(set(action_names)) != len(action_names):
         raise ParseError(line_no, "action names must be distinct")
-    if n_states * len(action_names) > len(raw_lines):  # checked before allocating the table
+    if n_states * len(action_names) > text.count("\n") + text.count("\r") + 1:  # before allocating
         raise ParseError(states_line, "more transitions are needed than the input has lines")
-    del raw_lines  # the line iterator frees them once it is exhausted
 
     line_no, tokens = next_line("'labels', 'init' or 'trans'")
     state_labels = None
@@ -143,7 +141,7 @@ def parse_partition(text: str) -> Partition:
     """One block per line, space-separated state indices."""
     blocks = []
     n_states = 0
-    for line_no, tokens in _content_lines(text.splitlines()):
+    for line_no, tokens in _content_lines(text):
         block = [_parse_count(tok, line_no, "state index") for tok in tokens]
         blocks.append(block)
         n_states += len(block)
@@ -163,7 +161,7 @@ def write_partition(part: Partition) -> str:
 def parse_obstacles(text: str, joints: int, resolution: int) -> frozenset[tuple[int, ...]]:
     """One forbidden configuration per line, space-separated joint positions."""
     out = set()
-    for line_no, tokens in _content_lines(text.splitlines()):
+    for line_no, tokens in _content_lines(text):
         if len(tokens) != joints:
             raise ParseError(line_no, f"expected {joints} joint positions")
         conf = tuple(_parse_count(tok, line_no, "joint position") for tok in tokens)

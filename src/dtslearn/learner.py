@@ -15,13 +15,14 @@ Two realizations of the per-depth candidate are provided:
 * ``frontier`` runs an L*/L#-style observation table over one query cache
   shared by all depths: suffixes are added only where two words of a row
   disagree or the hypothesis fails a test (counterexamples reduced as in
-  Rivest & Schapire). Polynomial in the environment size.
+  Rivest & Schapire). Polynomial in the environment size, but for the tests
+  that a raised depth floor asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, product
+from itertools import accumulate, cycle, groupby, islice, product
 from time import perf_counter
 
 import numpy as np
@@ -312,30 +313,35 @@ class _ObservationTable:
 
     ``tree[v]`` holds the child of node ``v`` under each action, then the sensor
     value seen there; node 1 is the empty word, node 0 every word not asked yet
-    (its children are itself, its value -1). Rows grow in place with the suffixes.
+    (its children are itself, its value -1). Rows are read off the tree.
     """
 
     def __init__(self, oracle: EnvOracle):
         self.oracle, self.m = oracle, oracle.n_actions
         self.tree = np.zeros((1024, self.m + 1), dtype=np.int32)
         self.tree[:, -1] = -1
-        self.size = 2
-        self.suffixes: list[tuple[int, ...]] = [()]
-        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.size, self.suffixes = 2, [()]  # suffixes only grow
 
-    def _nodes(self, words) -> np.ndarray:
-        """The node of each word, after asking the oracle for those not seen yet."""
-        out = np.zeros(len(words), dtype=np.int32)
+    def _find(self, words) -> np.ndarray:
+        """The node of each word; 0 for words not asked yet."""
+        out = np.zeros(len(words), dtype=np.int64)
         order = sorted(range(len(words)), key=lambda i: len(words[i]))
         for n, idx in groupby(order, key=lambda i: len(words[i])):
             idx = list(idx)
             cols = np.array([words[i] for i in idx]).reshape(len(idx), n).T
-            out[idx] = _walk(self.tree, np.ones(len(idx), dtype=np.int32), cols)
-        missing = np.flatnonzero(self.tree[out, -1] < 0)
-        if len(missing):
-            self._ask([words[i] for i in missing])
-            out[missing] = self._nodes([words[i] for i in missing])
+            out[idx] = _walk(self.tree, np.ones(len(idx), dtype=np.int64), cols)
         return out
+
+    def _observe(self, words, suffixes) -> np.ndarray:
+        """The sensor value after each word then each suffix, asking for those not seen yet."""
+        def look():
+            nodes = self._find(words)
+            return np.column_stack([self.tree[_walk(self.tree, nodes, e), -1] for e in suffixes])
+        seen = look()
+        if (seen < 0).any():
+            self._ask([words[i] + suffixes[j] for i, j in np.argwhere(seen < 0).tolist()])
+            seen = look()
+        return seen
 
     def _ask(self, words):
         """Replay the missing words not prefixes of others, one batch of sessions per length."""
@@ -359,32 +365,30 @@ class _ObservationTable:
                     self.tree[ids, -1] = seen[new[first]]
                 v = self.tree[v, col]
 
-    def _rows(self, words) -> list[tuple[int, ...]]:
-        """Each word's observations under every suffix, extending stored rows."""
-        todo: dict[int, list] = {}
-        for w in dict.fromkeys(words):
-            todo.setdefault(len(self.rows.get(w, ())), []).append(w)
-        todo.pop(len(self.suffixes), None)  # rows already complete
-        for done, group in todo.items():
-            nodes = self._nodes([w + e for w in group for e in self.suffixes[done:]])
-            for w, extra in zip(group, self.tree[nodes, -1].reshape(len(group), -1).tolist()):
-                self.rows[w] = self.rows.get(w, ()) + tuple(extra)
-        return [self.rows[w] for w in words]
+    def build(self, depth: int, horizon: int, min_depth: int,
+              ) -> tuple[TransitionSystem | None, BuildReport]:
+        """Close, make consistent and test the table; the hypothesis on the shallow words.
 
-    def build(self, depth: int, horizon: int) -> tuple[TransitionSystem | None, BuildReport]:
-        """Close, make consistent and test the table; the hypothesis on the shallow words."""
+        Tests are words of the horizon's length whose prefixes run through every
+        word of length ``min_depth // 2 - 1``, which separate the states of an
+        environment of up to ``min_depth // 2`` states; the rest is sampled.
+        """
         max_len = depth - horizon - 1  # same shallowness rule as the trie build
         m, actions = self.m, self.oracle.action_names
         rng = SplitMix64(depth)  # tests depend on the depth alone
-        tests = (list(product(range(m), repeat=horizon)) if m ** horizon <= TABLE_SUITE_SIZE else
-                 [tuple(rng.below(m) for _ in range(horizon)) for _ in range(TABLE_SUITE_SIZE)])
+        complete = max(min(depth, min_depth) // 2 - 1, 0)
+        count = max(TABLE_SUITE_SIZE, m ** complete)
+        tests = (list(product(range(m), repeat=horizon)) if m ** horizon <= count else
+                 [w + tuple(rng.below(m) for _ in range(horizon - complete))
+                  for w in islice(cycle(product(range(m), repeat=complete)), count)])
         while True:
             # representatives: the first word of each row, breadth-first
             reps, targets, level = [()], [], [0]
-            known = {self._rows([()])[0]: 0}
+            known, kid_rows = {tuple(self._observe([()], self.suffixes)[0].tolist()): 0}, []
             while level:
                 kids, first = [reps[r] + (a,) for r in level for a in range(m)], len(reps)
-                for w, row in zip(kids, self._rows(kids)):
+                kid_rows.append(self._observe(kids, self.suffixes))
+                for w, row in zip(kids, map(tuple, kid_rows[-1].tolist())):
                     if known.setdefault(row, len(reps)) == len(reps):
                         reps.append(w)
                     targets.append(known[row])
@@ -398,48 +402,46 @@ class _ObservationTable:
                         f"not closed: class {r} leads under action {actions[a]!r} "
                         "to a class with no shallow member")
             # consistent: a word's successors share its representative's rows
-            ext = [(reps[r] + (a, b), reps[c] + (b,), delta[c][b])
+            ext = [(reps[r] + (a, b), c * m + b, delta[c][b])
                    for r in range(n) for a, c in enumerate(delta[r])
                    if len(reps[r]) < max_len and reps[r] + (a,) != reps[c] for b in range(m)]
-            for (w, twin, _), row in zip(ext, self._rows([w for w, _, _ in ext])):
-                if row != self.rows[twin]:
-                    k = next(k for k, (x, y) in enumerate(zip(row, self.rows[twin])) if x != y)
-                    suffix = (w[-1],) + self.suffixes[k]
-                    break
+            twins = np.concatenate(kid_rows)[[t for _, t, _ in ext]]  # row of reps[c]·b
+            bad = np.argwhere(self._observe([w for w, _, _ in ext], self.suffixes) != twins)
+            if len(bad):
+                i, k = bad[0]
+                suffix = (ext[i][0][-1],) + self.suffixes[k]
             else:
                 cover = (reps[:n] + [reps[r] + (a,) for r in range(n) for a in range(m)]
                          + [w for w, _, _ in ext])
                 states = list(range(n)) + targets + [q for _, _, q in ext]
-                suffix = self._counterexample(cover, states, tests, reps, delta)
+                labels = self._observe(reps[:n], [()])[:, 0]
+                suffix = self._counterexample(cover, states, tests, reps, labels, delta)
                 if suffix is None:
                     break
             self.suffixes.append(suffix)
-        labels = [self.oracle.label_names[self.rows[w][0]] for w in reps[:n]]
-        model = TransitionSystem.from_tables(actions, delta, labels, initial=0)
+        names = [self.oracle.label_names[label] for label in labels]
+        model = TransitionSystem.from_tables(actions, delta, names, initial=0)
         return model, BuildReport(True, True, True, len(reps), n)
 
-    def _counterexample(self, cover, states, tests, reps, delta):
-        """A suffix splitting a row, from the first cover-times-test word labeled wrong.
+    def _counterexample(self, cover, states, tests, reps, labels, delta):
+        """A suffix splitting a row, from the first test prefix the hypothesis labels wrong.
 
         As in Rivest & Schapire, with ``acc(x)`` the representative reached by
         ``x``, some ``i`` has ``obs(acc(w[:i]) w[i:]) != obs(acc(w[:i+1]) w[i+1:])``.
         """
+        self._observe(cover, tests)  # ask every test word
         cols = np.array(tests).reshape(len(tests), -1).T
-        start = self._nodes(cover)[:, None].repeat(len(tests), 1)
-        seen = self.tree[_walk(self.tree, start, cols), -1]
-        if (seen < 0).any():
-            self._ask([cover[i] + tests[j] for i, j in np.argwhere(seen < 0).tolist()])
-            seen = self.tree[_walk(self.tree, start, cols), -1]
-        labels = np.array([self.rows[w][0] for w in reps[:len(delta)]])
-        hyp = _walk(np.array(delta), np.array(states)[:, None].repeat(len(tests), 1), cols)
-        bad = np.argwhere(seen != labels[hyp])
-        if not len(bad):
-            return None
-        w = cover[bad[0][0]] + tests[bad[0][1]]
-        q = list(accumulate(w, lambda state, a: delta[state][a], initial=0))
-        probes = self._nodes([reps[q[i]] + w[i:] for i in range(len(w) + 1)])
-        probes = self.tree[probes, -1]
-        return w[next(i for i in range(len(w)) if probes[i] != probes[i + 1]) + 1:]
+        node = self._find(cover)[:, None].repeat(len(tests), 1)
+        state, table = np.array(states)[:, None].repeat(len(tests), 1), np.array(delta)
+        for j, col in enumerate(cols):
+            node, state = self.tree[node, col], table[state, col]
+            bad = np.argwhere(self.tree[node, -1] != labels[state])
+            if len(bad):
+                w = cover[bad[0][0]] + tests[bad[0][1]][:j + 1]
+                q = list(accumulate(w, lambda state, a: delta[state][a], initial=0))
+                probes = self._observe([reps[q[i]] + w[i:] for i in range(len(w) + 1)], [()])[:, 0]
+                return w[next(i for i in range(len(w)) if probes[i] != probes[i + 1]) + 1:]
+        return None
 
 
 @dataclass(frozen=True)
@@ -492,14 +494,14 @@ def learn(env, x0: int | None, max_depth: int, method: str = "auto",
     depths is a heuristic; the candidate at depth ``D`` is guaranteed exact
     only once ``D`` reaches twice the true model size, so callers who know
     a bound can raise ``min_depth`` to refuse convergence claims from
-    shallower pairs.
-
-    ``method`` picks the per-depth realization: "trie" (the full trie,
-    ``m**depth`` words), "frontier" (an observation table over one query
-    cache, polynomial in the model size), or "auto" (trie below
-    ``trie_node_budget`` nodes). Returns the stabilized model in canonical
-    form, or the last candidate (possibly None) when the depth budget runs
-    out, together with a report that gives each depth's oracle calls and time.
+    shallower pairs. ``method`` picks the per-depth realization: "trie" (the
+    full trie, ``m**depth`` words), "frontier" (an observation table over one
+    query cache, polynomial in the model size), or "auto" (trie below
+    ``trie_node_budget`` nodes). The table's tests hold every word of length
+    ``min_depth // 2 - 1``, as the exactness bound needs, so their cost is
+    exponential in the floor. Returns the stabilized model in canonical form,
+    or the last candidate (possibly None) when the depth budget runs out,
+    together with a report of each depth's oracle calls and time.
     """
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
@@ -524,7 +526,7 @@ def learn(env, x0: int | None, max_depth: int, method: str = "auto",
         if use_trie:
             model, report = build_model(explore(oracle, None, depth), horizon)
         else:
-            model, report = table.build(depth, horizon)
+            model, report = table.build(depth, horizon, min_depth)
         attempts.append(DepthAttempt(
             depth, horizon, "trie" if use_trie else "frontier", report.ok,
             report.n_model_states, report.detail, oracle.resets - resets,

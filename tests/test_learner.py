@@ -231,15 +231,18 @@ class TestLearn:
     def test_learned_quotient_matches_the_congruence_quotient(self):
         # arbitrary label maps: the learner recovers the environment up to
         # its own coarsest congruence, even without a pointed sensor; a
-        # depth floor of twice the state count invokes the exactness bound
-        rng = SplitMix64(33)
-        for _ in range(25):
-            n = 2 + rng.below(5)
-            env = make_random(n, 2, rng.next_u64())
-            model, report = learn(env, 0, 2 * n + 6, min_depth=2 * n)
-            assert report.converged
-            reference, _ = quotient(env, msr(env, partition_from_labels(env)))
-            assert are_isomorphic(model, reference, anchored=True)[0]
+        # depth floor of twice the state count invokes the exactness bound,
+        # which the observation table meets as the trie does
+        for method, n_actions, seed in (("auto", 2, 33), ("frontier", 2, 35),
+                                         ("frontier", 3, 36), ("frontier", 4, 37)):
+            rng = SplitMix64(seed)
+            for _ in range(25):
+                n = 2 + rng.below(5)
+                env = make_random(n, n_actions, rng.next_u64())
+                model, report = learn(env, 0, 2 * n + 6, method=method, min_depth=2 * n)
+                assert report.converged
+                reference, _ = quotient(env, msr(env, partition_from_labels(env)))
+                assert are_isomorphic(model, reference, anchored=True)[0]
 
     def test_pointed_minimally_distinguishing_envs_are_recovered(self):
         rng = SplitMix64(34)
@@ -275,16 +278,20 @@ class TestLearn:
         first = report.attempts[0]
         assert f"{first.resets} resets, {first.steps} steps" in report.summary()
 
-    def test_table_recovers_the_congruence_quotient(self):
-        rng = SplitMix64(35)
-        for _ in range(40):
-            n = 2 + rng.below(7)
-            env = make_random(n, 2 + rng.below(3), rng.next_u64(),
-                              pointed=bool(rng.below(2)))
-            model, report = learn(env, 0, 2 * n + 6, method="frontier", min_depth=2 * n)
-            assert report.converged
-            reference, _ = quotient(env, msr(env, partition_from_labels(env)))
-            assert are_isomorphic(model, reference, anchored=True)[0]
+    def test_combination_lock_is_exact_only_with_the_depth_floor(self):
+        # "r" advances, "w" resets, and only the last state clicks: one word
+        # of length n - 1 tells the states apart. The table's sampled tests
+        # miss it and settle on one state; the floor 2n makes every word of
+        # length n start a test, which the exactness bound needs
+        n = 12
+        env = TransitionSystem.from_tables(
+            ("r", "w"), [[min(i + 1, n - 1), 0] for i in range(n)],
+            ["blank"] * (n - 1) + ["click"], 0)
+        eager, report = learn(env, 0, 2 * n + 6, method="frontier")
+        assert report.converged and eager.n_states == 1
+        patient, report = learn(env, 0, 2 * n + 6, method="frontier", min_depth=2 * n)
+        assert report.converged
+        assert are_isomorphic(env, patient, anchored=True)[0]
 
     def test_table_cost_stays_polynomial_in_the_depth(self):
         # the full trie at depth 68 would need 2^34 sessions per word
