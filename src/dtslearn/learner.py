@@ -21,6 +21,7 @@ Two realizations of the per-depth candidate are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, cycle, groupby, islice, product
 from time import perf_counter
@@ -64,7 +65,7 @@ class EnvOracle:
             raise InputError("the environment must be labeled")
         if not 0 <= x0 < env.n_states:
             raise InputError(f"state {x0} is out of range")
-        self._delta = np.asarray(env.delta, dtype=np.int64)
+        self._delta = np.asarray(env.delta, dtype=np.int64).reshape(-1)  # row-major: cur*m + a
         self._labels = np.asarray(env.labels, dtype=np.int32)
         self._x0 = x0
         self._cur = np.empty(0, dtype=np.int64)
@@ -74,6 +75,14 @@ class EnvOracle:
         self.resets = 0
         self.steps = 0
 
+    def _check_actions(self, actions) -> np.ndarray:
+        """The action ids as an array; ``InputError`` unless all are integers in ``0..m-1``."""
+        acts = np.asarray(actions)
+        if acts.size and (acts.dtype.kind not in "iu" or acts.min() < 0
+                          or acts.max() >= self.n_actions):
+            raise InputError(f"action ids must be integers from 0 to {self.n_actions - 1}")
+        return acts
+
     def start(self, sessions: int) -> np.ndarray:
         """Begin ``sessions`` parallel runs; returns the initial sensor values."""
         self._cur = np.full(sessions, self._x0, dtype=np.int64)
@@ -82,12 +91,16 @@ class EnvOracle:
 
     def step(self, actions) -> np.ndarray:
         """Apply one action per session (scalar broadcasts); returns sensor values."""
-        self._cur = self._delta[self._cur, actions]
+        acts = self._check_actions(actions)
+        if acts.shape not in ((), self._cur.shape):
+            raise InputError(f"{acts.size} actions given for {self._cur.size} sessions")
+        self._cur = self._delta[self._cur * self.n_actions + acts]
         self.steps += len(self._cur)
         return self._labels[self._cur]
 
     def walk(self, word) -> list[int]:
         """One session through ``word``; sensor values at every step, start included."""
+        word = self._check_actions(word)  # before starting, so a bad word costs nothing
         out = [int(self.start(1)[0])]
         for a in word:
             out.append(int(self.step(a)[0]))
@@ -108,9 +121,12 @@ def _as_oracle(env, x0: int | None) -> EnvOracle:
 class HistoryTrie:
     """All action words up to a depth, with the observed sensor value at each.
 
-    Nodes are numbered in BFS order (root 0, then words of length 1 in
-    action order, and so on); ``levels[d]`` holds the observations of the
-    length-``d`` words in lexicographic order.
+    Nodes are numbered in BFS order: root 0, then the words of length 1 in
+    action order, and so on; ``levels[d]`` holds the observations of the
+    length-``d`` words in lexicographic order. The trie is complete, so node
+    ``v`` is followed under action ``a`` by node ``m·v + 1 + a``, its parent
+    is ``(v - 1) // m`` (reached by action ``(v - 1) % m``), and level ``d``
+    spans nodes ``offsets[d]`` to ``offsets[d + 1] - 1``.
     """
 
     n_actions: int
@@ -134,31 +150,23 @@ class HistoryTrie:
     def level_of(self, node: int) -> int:
         if not 0 <= node < self.node_count:
             raise InputError(f"node {node} is out of range")
-        d = 0
-        while self.offsets[d + 1] <= node:
-            d += 1
-        return d
+        return bisect_right(self.offsets, node) - 1
 
     def observation(self, node: int) -> int:
         d = self.level_of(node)
         return int(self.levels[d][node - self.offsets[d]])
 
     def child(self, node: int, action: int) -> int:
-        d = self.level_of(node)
-        if d == self.depth:
+        if self.level_of(node) == self.depth:
             raise InputError(f"node {node} is a leaf")
         if not 0 <= action < self.n_actions:
             raise InputError(f"action {action} is out of range")
-        local = node - self.offsets[d]
-        return self.offsets[d + 1] + local * self.n_actions + action
+        return self.n_actions * node + 1 + action
 
     def parent(self, node: int) -> tuple[int, int] | None:
         """The parent node and the action leading here; None at the root."""
-        d = self.level_of(node)
-        if d == 0:
-            return None
-        local = node - self.offsets[d]
-        return self.offsets[d - 1] + local // self.n_actions, local % self.n_actions
+        self.level_of(node)  # range check
+        return None if node == 0 else divmod(node - 1, self.n_actions)
 
     def node_at(self, word) -> int:
         node = 0
@@ -167,12 +175,11 @@ class HistoryTrie:
         return node
 
     def word_of(self, node: int) -> tuple[int, ...]:
+        self.level_of(node)  # range check
         out = []
-        link = self.parent(node)
-        while link is not None:
-            node, a = link
+        while node:
+            node, a = divmod(node - 1, self.n_actions)
             out.append(a)
-            link = self.parent(node)
         return tuple(reversed(out))
 
 
@@ -201,39 +208,33 @@ def explore(env, x0: int | None, depth: int) -> HistoryTrie:
     return HistoryTrie(m, depth, oracle.action_names, oracle.label_names, tuple(levels))
 
 
-def _canonical_array(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber arbitrary ids by first occurrence; returns ids and count."""
-    uniq, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
-    return rank[inverse], len(uniq)
-
-
 def bounded_indistinguishability(trie: HistoryTrie, horizon: int) -> Partition:
     """Merge nodes whose observations agree on every continuation up to ``horizon``.
 
-    Computed by iterated splitting from the observation partition: round
-    ``j`` splits by the children's round ``j-1`` classes, so after the last
-    round two nodes of depth at most ``depth - horizon`` share a class iff
-    no continuation word of length up to the horizon separates them.
+    Moore's k-step equivalence over one flat class array of the nodes in BFS
+    order, starting from the observations. Round ``j`` re-ranks each node of
+    depth at most ``depth - j`` by its class and its children's classes,
+    folded in one action at a time as 1-D integer keys; the children of the
+    first ``live`` nodes are the slice ``1 .. m·live``, so the array shrinks
+    to those nodes. After the last round two nodes of depth at most
+    ``depth - horizon`` share a class iff no continuation word of length up
+    to the horizon separates them. Classes are numbered by first occurrence.
     """
     if not 0 <= horizon <= trie.depth:
         raise InputError("horizon must lie between 0 and the trie depth")
     m = trie.n_actions
-    classes = [lvl.astype(np.int64) for lvl in trie.levels]
+    cls = np.concatenate(trie.levels).astype(np.int64)
+    # Ids are ranks below the node count (at most EXPLORE_NODE_BUDGET = 2^25)
+    # or int32 observations, so keys stay below bound^2 < 2^62 (2^50 in practice).
+    bound = max(trie.node_count, int(cls.max()) + 1)
     for j in range(1, horizon + 1):
-        rows = [np.column_stack([classes[d], classes[d + 1].reshape(-1, m)])
-                for d in range(trie.depth - j + 1)]
-        sizes = [len(r) for r in rows]
-        _, inverse = np.unique(np.concatenate(rows), axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        classes, pos = [], 0
-        for size in sizes:
-            classes.append(inverse[pos:pos + size])
-            pos += size
-    flat = np.concatenate(classes[:trie.depth - horizon + 1])
-    block_of, n_blocks = _canonical_array(flat)
-    return Partition(len(flat), n_blocks, tuple(int(b) for b in block_of))
+        live = trie.offsets[trie.depth - j + 1]
+        kids = cls[1:1 + m * live].reshape(live, m)
+        key = cls[:live]
+        for a in range(m):
+            key = np.unique(key * bound + kids[:, a], return_inverse=True)[1]
+        cls = key
+    return Partition.from_block_of(cls[:trie.offsets[trie.depth - horizon + 1]].tolist())
 
 
 @dataclass(frozen=True)
@@ -267,9 +268,7 @@ def build_model(trie: HistoryTrie, horizon: int) -> tuple[TransitionSystem | Non
         return None, report
     block_of = np.asarray(part.block_of, dtype=np.int64)
     cut = trie.offsets[top]  # nodes with all children classified
-    child_classes = np.concatenate(
-        [block_of[trie.offsets[d + 1]:trie.offsets[d + 2]].reshape(-1, m)
-         for d in range(top)])
+    child_classes = block_of[1:1 + m * cut].reshape(cut, m)
     first_member = np.unique(block_of, return_index=True)[1]  # ascending by class
     n_eligible = int(np.searchsorted(first_member, cut))
 

@@ -24,9 +24,35 @@ from dtslearn import (
     verify_learned,
 )
 from dtslearn.envs import ArmSpec, SplitMix64
-from dtslearn.learner import count_nodes
+from dtslearn.learner import HistoryTrie, count_nodes
 
 CW, CCW = 0, 1
+
+
+def rowsort_bounded_indistinguishability(trie, horizon):
+    """The row-sort rounds ``bounded_indistinguishability`` ran before its flat rounds.
+
+    Each round stacks every level's classes next to its children's classes and
+    re-ranks the rows of all levels together with ``np.unique(axis=0)``. Slow,
+    but plainly Moore's k-step equivalence, so it serves as the reference.
+    """
+    m = trie.n_actions
+    classes = [lvl.astype(np.int64) for lvl in trie.levels]
+    for j in range(1, horizon + 1):
+        rows = [np.column_stack([classes[d], classes[d + 1].reshape(-1, m)])
+                for d in range(trie.depth - j + 1)]
+        sizes = [len(r) for r in rows]
+        _, inverse = np.unique(np.concatenate(rows), axis=0, return_inverse=True)
+        classes = np.split(inverse.reshape(-1), np.cumsum(sizes)[:-1])
+    return Partition.from_block_of(np.concatenate(classes[:trie.depth - horizon + 1]).tolist())
+
+
+def random_trie(rng, m, k, depth):
+    """A complete trie whose every node sees one of ``k`` values at random."""
+    levels = tuple(np.array([rng.below(k) for _ in range(m ** d)], dtype=np.int32)
+                   for d in range(depth + 1))
+    return HistoryTrie(m, depth, tuple(f"a{a}" for a in range(m)),
+                       tuple(f"o{o}" for o in range(k)), levels)
 
 
 def reach_map(env, x0, trie, upto_level):
@@ -70,6 +96,25 @@ class TestExplore:
         for v in range(1, trie.node_count):
             parent, action = trie.parent(v)
             assert trie.child(parent, action) == v
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_words_and_nodes_correspond_in_bfs_order(self, m):
+        trie = random_trie(SplitMix64(m), m, 2, 4)
+        words = [w for d in range(5) for w in np.ndindex(*(m,) * d)]
+        assert [trie.word_of(v) for v in range(trie.node_count)] == words
+        assert [trie.node_at(w) for w in words] == list(range(trie.node_count))
+        assert [trie.level_of(v) for v in range(trie.node_count)] == [len(w) for w in words]
+
+    def test_navigation_rejects_leaves_and_foreign_nodes(self):
+        trie = explore(make_line(4), 0, 2)
+        with pytest.raises(InputError, match="leaf"):
+            trie.child(trie.node_at([1, 0]), 0)
+        with pytest.raises(InputError, match="action"):
+            trie.child(0, 2)
+        for bad in (-1, trie.node_count):
+            for call in (trie.parent, trie.word_of, trie.observation, lambda v: trie.child(v, 0)):
+                with pytest.raises(InputError, match="out of range"):
+                    call(bad)
 
     def test_observations_match_env_walks(self):
         env = make_line(4)
@@ -122,6 +167,24 @@ class TestBoundedIndistinguishability:
         trie = explore(make_line(4), 0, 2)
         with pytest.raises(InputError):
             bounded_indistinguishability(trie, 3)
+
+    def test_matches_the_row_sort_rounds(self):
+        rng = SplitMix64(404)
+        for case in range(48):
+            m, k = 1 + case % 4, 1 + case // 4 % 4  # every pair, with each source
+            depth = (12, 9, 6, 5)[m - 1]
+            if case // 16 % 2:
+                trie = random_trie(rng, m, k, depth)
+            else:
+                n = 1 + rng.below(8)
+                delta = [[rng.below(n) for _ in range(m)] for _ in range(n)]
+                labels = [f"o{rng.below(k)}" for _ in range(n)]
+                env = TransitionSystem.from_tables(
+                    tuple(f"a{a}" for a in range(m)), delta, labels, 0)
+                trie = explore(env, 0, depth)
+            for horizon in range(depth + 1):
+                assert bounded_indistinguishability(trie, horizon) == \
+                    rowsort_bounded_indistinguishability(trie, horizon), (case, horizon)
 
     def test_never_finer_than_the_pulled_back_congruence(self):
         rng = SplitMix64(31)
@@ -353,6 +416,25 @@ class TestOracle:
         oracle = EnvOracle(make_line(4), 0)
         assert oracle.walk([1, 1, 0]) == [0, 1, 1, 1]
         # green, then white, white, white (back at state 1)
+
+    def test_walk_rejects_bad_action_ids_before_starting(self):
+        oracle = EnvOracle(make_line(4), 0)
+        for word in ([1, 1, -1], [0, 2], [0, 1.0]):
+            with pytest.raises(InputError, match="action ids"):
+                oracle.walk(word)
+        assert (oracle.resets, oracle.steps) == (0, 0)
+        assert oracle.walk([]) == [0]
+
+    def test_step_rejects_bad_action_ids_and_counts_nothing(self):
+        oracle = EnvOracle(make_line(4), 0)
+        oracle.start(3)
+        for actions in (2, -1, np.array([0, 1, 2]), np.array([0, -1, 1]),
+                        np.array([0.0, 1.0, 0.0]), np.array([0, 1])):
+            with pytest.raises(InputError):
+                oracle.step(actions)
+        assert (oracle.resets, oracle.steps) == (3, 0)
+        assert oracle.step(np.array([1, 1, 0])).tolist() == [1, 1, 0]
+        assert oracle.steps == 3
 
     def test_exploration_costs_one_walk_per_leaf(self):
         env = make_line(4)
