@@ -7,41 +7,67 @@ so seeds reproduce across implementations.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .core import (
     DtsError,
     InputError,
     NotConnectedError,
     TransitionSystem,
-    is_minimally_distinguishing,
-    is_strongly_connected,
 )
 
 MAX_STATES = 100_000
 _MAX_ATTEMPTS = 1_000_000
+# stream outputs drawn per candidate batch of make_random (one candidate may exceed it)
+_BATCH_DRAWS = 1 << 13
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class GenerationError(DtsError):
     """Random generation exhausted its rejection budget."""
 
 
+def _whole_number(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _mix(z):
+    """splitmix64's output function, on a Python int or a ``uint64`` array (which wraps)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
-    """The splitmix64 generator; pure 64-bit arithmetic, no platform drift."""
+    """The splitmix64 generator; pure 64-bit arithmetic, no platform drift.
+
+    The stream is counter-based: the k-th output after ``state`` is
+    ``mix(state + k·γ)``, so a block of outputs is one array expression.
+    """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = _whole_number(seed, "the seed") & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        self.state = (self.state + _GAMMA) & _MASK
+        return _mix(self.state)
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a ``uint64`` array, as ``next_u64`` would give them."""
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        out = _mix(np.uint64(self.state) + steps)
+        self.state = (self.state + count * _GAMMA) & _MASK
+        return out
 
     def below(self, n: int) -> int:
         """Draw from 0..n-1 by reduction of one 64-bit output."""
@@ -159,35 +185,92 @@ def make_arm(spec: ArmSpec) -> TransitionSystem:
     return sys
 
 
+def _minimally_distinguishing(cand: np.ndarray) -> np.ndarray:
+    """Which of the ``(K, n, m)`` tables map no two states other than t onto t by one action."""
+    k, n, m = cand.shape
+    # one bin per (candidate, action, target), filled by the sources s != target
+    keys = (np.arange(k)[:, None, None] * m + np.arange(m)) * n + cand
+    counts = np.bincount(keys[cand != np.arange(n)[:, None]], minlength=k * m * n)
+    return (counts.reshape(k, m * n) < 2).all(axis=1)
+
+
+def _strongly_connected(cand: np.ndarray) -> np.ndarray:
+    """Which of the ``(K, n, m)`` tables have state 0 reaching, and reached from, every state."""
+    k, n, m = cand.shape
+    if n == 1:
+        return np.ones(k, dtype=bool)
+    # one pass first: a state with no edge to or from another state is cut off
+    moving = cand != np.arange(n)[:, None]
+    entered = np.bincount((cand + (np.arange(k) * n)[:, None, None])[moving],
+                          minlength=k * n).reshape(k, n)
+    ok = moving.any(axis=2).all(axis=1) & (entered > 0).all(axis=1)
+    live = np.flatnonzero(ok)
+    if not live.size:
+        return ok
+    size = live.size * n
+    # the survivors as one graph, survivor i's states at i·n .. i·n+n-1, and its
+    # reverse at size + i·n ..: one closure from every state 0 reaches forward and back
+    src = np.repeat(np.arange(size), m)
+    dst = (cand[live] + (np.arange(live.size) * n)[:, None, None]).ravel()
+    tails = np.concatenate([src, dst + size])
+    heads = np.concatenate([dst, src + size])
+    seen = np.zeros(2 * size, dtype=bool)
+    seen[::n] = True
+    count = live.size * 2
+    while True:
+        seen[heads[seen[tails]]] = True
+        grown = np.count_nonzero(seen)
+        if grown == count:
+            break
+        count = grown
+    ok[live] = seen.reshape(2, live.size, n).all(axis=(0, 2))
+    return ok
+
+
 def make_random(n: int, m: int, seed: int,
                 require_min_dist: bool = False,
                 pointed: bool = False) -> TransitionSystem:
     """Seeded random strongly connected system on ``n`` states, ``m`` actions.
 
-    The transition table is drawn uniformly and resampled until strongly
-    connected (and minimally distinguishing when requested). Labels: a
-    pointed system gives state 0 the only "click", otherwise every state
-    draws one of two values uniformly.
+    Candidate ``k`` (from 0) is the transition table filled row by row, state
+    by state and action by action, from stream outputs ``k·n·m + 1 ..
+    (k+1)·n·m`` of ``SplitMix64(seed)``, each reduced mod ``n``. The first
+    candidate that is strongly connected (and minimally distinguishing when
+    requested) is the table; ``GenerationError`` is raised when none of the
+    first ``_MAX_ATTEMPTS`` is. Candidates are drawn and tested in numpy
+    batches, one at first and four times as many each time up to
+    ``_BATCH_DRAWS`` outputs, but the stream is left just past the chosen
+    candidate, as a one-at-a-time loop would leave it. Labels: a pointed
+    system gives state 0 the only "click"; otherwise the next ``n`` outputs
+    give each state one of two values, by parity.
     """
+    n = _whole_number(n, "the state count")
+    m = _whole_number(m, "the action count")
     if n < 1 or m < 1:
         raise InputError("need at least one state and one action")
     if n > MAX_STATES:
         raise InputError(f"refusing to build more than {MAX_STATES} states")
     rng = SplitMix64(seed)
     action_names = tuple(f"u{a}" for a in range(m))
-    delta = None
-    for _ in range(_MAX_ATTEMPTS):
-        cand = tuple(tuple(rng.below(n) for _ in range(m)) for _ in range(n))
-        sys = TransitionSystem(n, m, action_names, cand)
-        # the acceptance region is an intersection, so the cheaper-to-fail
-        # minimal-distinguishability test runs first without changing draws
-        if require_min_dist and not is_minimally_distinguishing(sys)[0]:
-            continue
-        if not is_strongly_connected(sys):
-            continue
-        delta = cand
-        break
-    if delta is None:
+    cells = n * m
+    tried = 0
+    batch = 1
+    while tried < _MAX_ATTEMPTS:
+        k = min(batch, _MAX_ATTEMPTS - tried)
+        start = rng.state
+        cand = (rng.next_u64s(k * cells) % np.uint64(n)).astype(np.intp).reshape(k, n, m)
+        keep = np.arange(k)
+        if require_min_dist:
+            keep = keep[_minimally_distinguishing(cand)]
+        keep = keep[_strongly_connected(cand[keep])]
+        if keep.size:
+            won = int(keep[0])
+            rng.state = (start + (won + 1) * cells * _GAMMA) & _MASK
+            delta = cand[won].tolist()
+            break
+        tried += k
+        batch = min(4 * batch, max(1, _BATCH_DRAWS // cells))
+    else:
         raise GenerationError(
             f"no admissible system found in {_MAX_ATTEMPTS} draws (n={n}, m={m})")
     if pointed:

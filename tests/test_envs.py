@@ -1,10 +1,16 @@
+import hashlib
+from itertools import product
+
+import numpy as np
 import pytest
 
+import dtslearn.envs as envs
 from dtslearn import (
     ArmSpec,
     InputError,
     NotConnectedError,
     SplitMix64,
+    TransitionSystem,
     is_minimally_distinguishing,
     is_strongly_connected,
     make_arm,
@@ -18,6 +24,27 @@ from dtslearn import (
 from dtslearn.envs import GenerationError, _MAX_ATTEMPTS
 
 
+def reference_make_random(n, m, seed, require_min_dist=False, pointed=False):
+    """The one-candidate-at-a-time generator; returns the system and the winner's index."""
+    rng = SplitMix64(seed)
+    action_names = tuple(f"u{a}" for a in range(m))
+    for index in range(envs._MAX_ATTEMPTS):
+        cand = tuple(tuple(rng.below(n) for _ in range(m)) for _ in range(n))
+        sys = TransitionSystem(n, m, action_names, cand)
+        if require_min_dist and not is_minimally_distinguishing(sys)[0]:
+            continue
+        if not is_strongly_connected(sys):
+            continue
+        break
+    else:
+        raise GenerationError("budget exhausted")
+    if pointed:
+        state_labels = ["click"] + ["blank"] * (n - 1)
+    else:
+        state_labels = [("a", "b")[rng.below(2)] for _ in range(n)]
+    return TransitionSystem.from_tables(action_names, cand, state_labels, initial=0), index
+
+
 class TestSplitMix64:
     def test_known_stream(self):
         # reference values of the splitmix64 stream from seed 1234567
@@ -28,6 +55,24 @@ class TestSplitMix64:
     def test_below_is_in_range(self):
         rng = SplitMix64(99)
         assert all(rng.below(7) < 7 for _ in range(100))
+
+    def test_numpy_integer_seeds_give_the_python_stream(self):
+        for seed in (np.int64(-5), np.uint64(2**64 - 1), np.int32(7)):
+            rng, reference = SplitMix64(seed), SplitMix64(int(seed))
+            assert [rng.next_u64() for _ in range(3)] == [reference.next_u64() for _ in range(3)]
+            assert type(rng.state) is int
+        with pytest.raises(InputError):
+            SplitMix64(2.5)
+
+    @pytest.mark.parametrize("seed", [0, 1234567, -1, 2**64 - 1, 2**70 + 5])
+    def test_block_continues_the_scalar_stream(self, seed):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert block.next_u64() == scalar.next_u64()
+        for count in (0, 1, 7, 300):
+            out = block.next_u64s(count)
+            assert out.dtype == np.uint64
+            assert out.tolist() == [scalar.next_u64() for _ in range(count)]
+            assert block.state == scalar.state
 
 
 class TestLine:
@@ -180,3 +225,83 @@ class TestRandom:
             # distinguishing strongly connected 8-state table
             envs.make_random(8, 2, 0, require_min_dist=True)
         assert _MAX_ATTEMPTS == 1_000_000  # the module default is untouched
+
+
+# sha256 of (delta, labels, label_names) over the grid below, computed with
+# the one-candidate-at-a-time generator that the batched one replaced
+GOLDEN_GRID_DIGEST = "a9938ce03f5cc994dff5e848d267ab6a1c72d344fa90fe9f7e57997b86866c14"
+GOLDEN_GRID_SEEDS = (0, 3, 2024, -7)
+
+
+class TestRandomStream:
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        grid = product(range(1, 10), range(1, 4), (False, True), (False, True), GOLDEN_GRID_SEEDS)
+        for n, m, require_min_dist, pointed, seed in grid:
+            env = make_random(n, m, seed, require_min_dist, pointed)
+            digest.update(repr((env.delta, env.labels, env.label_names)).encode())
+        assert digest.hexdigest() == GOLDEN_GRID_DIGEST
+
+    def test_matches_the_reference_loop(self):
+        rng = SplitMix64(2718)
+        for _ in range(2000):
+            m = 1 + rng.below(3)
+            require_min_dist, pointed = bool(rng.below(2)), bool(rng.below(2))
+            # the reference needs thousands of candidates for larger n under these
+            n = 1 + rng.below(5 if require_min_dist or m == 1 else 8)
+            seed = rng.next_u64() - 2**63
+            env = make_random(n, m, seed, require_min_dist, pointed)
+            assert env == reference_make_random(n, m, seed, require_min_dist, pointed)[0]
+
+    def test_small_batches_match_the_reference_loop(self, monkeypatch):
+        # a batch cap below one candidate's draws, and one of a few candidates
+        for cap in (1, 40):
+            monkeypatch.setattr(envs, "_BATCH_DRAWS", cap)
+            for seed in range(-3, 12):
+                for n, m, require_min_dist in ((7, 2, False), (5, 2, True), (4, 3, True)):
+                    env = make_random(n, m, seed, require_min_dist)
+                    assert env == reference_make_random(n, m, seed, require_min_dist)[0]
+
+    def test_budget_boundary_is_the_winning_candidate(self, monkeypatch):
+        env, index = reference_make_random(7, 2, 11, require_min_dist=True)
+        assert index >= 20  # several batches, the last one cut short by the budget
+        monkeypatch.setattr(envs, "_MAX_ATTEMPTS", index)
+        with pytest.raises(GenerationError):
+            make_random(7, 2, 11, require_min_dist=True)
+        monkeypatch.setattr(envs, "_MAX_ATTEMPTS", index + 1)
+        assert make_random(7, 2, 11, require_min_dist=True) == env
+
+
+def _random_tables(rng, n, m, count):
+    """Uniform tables, tables with many self-loops, and bijections on each action."""
+    uniform = rng.integers(0, n, size=(count, n, m))
+    stay = rng.random((count, n, m)) < 0.5
+    loops = np.where(stay, np.arange(n)[:, None], uniform)
+    perms = np.argsort(rng.random((count, m, n)), axis=2).transpose(0, 2, 1)
+    return np.concatenate([uniform, loops, perms])
+
+
+class TestBatchFilters:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_agree_with_the_core_predicates(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        tables = _random_tables(rng, n, m, 40)
+        min_dist = envs._minimally_distinguishing(tables)
+        connected = envs._strongly_connected(tables)
+        names = tuple(f"u{a}" for a in range(m))
+        for table, md, sc in zip(tables.tolist(), min_dist, connected):
+            sys = TransitionSystem(n, m, names, table)
+            assert md == is_minimally_distinguishing(sys)[0]
+            assert sc == is_strongly_connected(sys)
+
+
+class TestRandomArguments:
+    @pytest.mark.parametrize("args", [(3.5, 2, 1), (3, 2.0, 1), (3, 2, 1.5), (3, 2, "7")])
+    def test_non_integers_raise_input_error(self, args):
+        with pytest.raises(InputError):
+            make_random(*args)
+
+    def test_numpy_integers_are_accepted(self):
+        assert make_random(np.int64(5), np.int32(2), np.uint64(7)) == make_random(5, 2, 7)
+        assert make_random(4, 2, np.int64(-7)) == make_random(4, 2, -7)

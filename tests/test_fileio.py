@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtslearn import (
     Partition,
@@ -166,3 +167,44 @@ class TestDot:
         part = bounded_indistinguishability(trie, 3)
         dot = trie_to_dot(trie, part)
         assert dot.count("subgraph cluster_") == 4
+
+
+# Every text either parses or raises ParseError, never another exception.
+# Texts come raw, as lines of format tokens, and as token lines behind a valid
+# header, so that the fuzzing reaches the transition lines as well.
+_TOKENS = st.sampled_from([
+    "dts", "states", "actions", "labels", "init", "trans", "L", "R", "a", "#",
+    "0", "1", "2", "3", "-1", "1_0", "+2", "1e3", "0x1", "10000000000", "٣",
+]) | st.text(max_size=4)
+_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=12).map("\n".join)
+_TEXTS = st.one_of(
+    st.text(),
+    _LINES,
+    _LINES.map(lambda body: "dts\nstates 2\nactions L R\n" + body),
+    _LINES.map(lambda body: "dts\nstates 2\nactions L R\nlabels a b\ninit 1\n" + body),
+)
+
+
+def _parses_or_raises_parse_error(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+class TestFuzz:
+    @settings(deadline=None)
+    @given(_TEXTS)
+    def test_parse_dts(self, text):
+        _parses_or_raises_parse_error(parse_dts, text)
+
+    @settings(deadline=None)
+    @given(_TEXTS)
+    def test_parse_partition(self, text):
+        _parses_or_raises_parse_error(parse_partition, text)
+
+    @settings(deadline=None)
+    @given(_TEXTS, st.integers(1, 3), st.integers(3, 6))
+    def test_parse_obstacles(self, text, joints, resolution):
+        _parses_or_raises_parse_error(
+            lambda t: parse_obstacles(t, joints, resolution), text)
