@@ -48,7 +48,6 @@ from .coupling import (
     has_nontrivial_autobisimulation,
     induced_label,
     is_surpriseless,
-    restrict,
     with_induced_labels,
 )
 from .learner import (

@@ -7,7 +7,6 @@ are pure functions, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 
@@ -51,11 +50,15 @@ def intern_names(keys) -> tuple[tuple[int, ...], tuple]:
     return tuple(out), tuple(ids)
 
 
-def _relabel_first_occurrence(
-    labels: tuple[int, ...], label_names: tuple[str, ...]
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Renumber label ids by first occurrence and drop unused names."""
-    return intern_names([label_names[l] for l in labels])
+def _first_occurrence_count(ids) -> int | None:
+    """The number of distinct ids if they run 0, 1, ... in first-occurrence order, else None."""
+    count = 0
+    for i in ids:
+        if i == count:
+            count += 1
+        elif not 0 <= i < count:
+            return None
+    return count
 
 
 @dataclass(frozen=True)
@@ -114,15 +117,9 @@ class TransitionSystem:
                 raise InputError("label names must be pairwise distinct")
             if any(not name for name in names):
                 raise InputError("label names must be non-empty")
-            seen: list[int] = []
-            for l in self.labels:
-                if not 0 <= l < len(names):
-                    raise InputError(f"label id {l} is out of range")
-                if l not in seen:
-                    seen.append(l)
-            if seen != list(range(len(names))):
+            if _first_occurrence_count(self.labels) != len(names):
                 raise InputError(
-                    "label ids must be dense and in first-occurrence order; "
+                    "label ids must run over all label names in first-occurrence order; "
                     "use TransitionSystem.from_tables with per-state names"
                 )
         if self.initial is not None and not 0 <= self.initial < self.n_states:
@@ -148,10 +145,6 @@ class TransitionSystem:
                    labels, label_names, initial)
 
     @property
-    def is_labeled(self) -> bool:
-        return self.labels is not None
-
-    @property
     def n_labels(self) -> int:
         return 0 if self.label_names is None else len(self.label_names)
 
@@ -162,12 +155,6 @@ class TransitionSystem:
         if self.labels is None:
             raise InputError("system is unlabeled")
         return self.label_names[self.labels[s]]
-
-    def action_index(self, name: str) -> int:
-        try:
-            return self.action_names.index(name)
-        except ValueError:
-            raise InputError(f"unknown action name {name!r}") from None
 
     def unlabeled(self) -> "TransitionSystem":
         """A copy with the sensor map removed."""
@@ -228,38 +215,27 @@ def star(sys: TransitionSystem, s: int, seq) -> int:
     return cur
 
 
-def _reachable_from(sys: TransitionSystem, s0: int) -> list[bool]:
-    seen = [False] * sys.n_states
-    seen[s0] = True
-    queue = deque([s0])
-    while queue:
-        s = queue.popleft()
-        for t in sys.delta[s]:
+def _bfs_order(succ, start: int) -> list[int]:
+    """The states reachable from ``start`` over the rows of ``succ``, in discovery order."""
+    seen = [False] * len(succ)
+    seen[start] = True
+    order = [start]
+    for s in order:
+        for t in succ[s]:
             if not seen[t]:
                 seen[t] = True
-                queue.append(t)
-    return seen
+                order.append(t)
+    return order
 
 
 def is_strongly_connected(sys: TransitionSystem) -> bool:
     """True iff every ordered state pair is joined by some action sequence."""
-    if not all(_reachable_from(sys, 0)):
-        return False
-    # reverse reachability to state 0
+    # state 0 reaches every state over the edges, and over the reversed edges
     rev: list[list[int]] = [[] for _ in range(sys.n_states)]
     for s, row in enumerate(sys.delta):
         for t in row:
             rev[t].append(s)
-    seen = [False] * sys.n_states
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        for t in rev[s]:
-            if not seen[t]:
-                seen[t] = True
-                queue.append(t)
-    return all(seen)
+    return len(_bfs_order(sys.delta, 0)) == len(_bfs_order(rev, 0)) == sys.n_states
 
 
 def is_minimally_distinguishing(
@@ -296,25 +272,17 @@ def canonical_form(sys: TransitionSystem, anchor: int) -> tuple[TransitionSystem
     """
     if not 0 <= anchor < sys.n_states:
         raise InputError(f"anchor {anchor} is out of range")
+    bfs = _bfs_order(sys.delta, anchor)
     order = [-1] * sys.n_states
-    order[anchor] = 0
-    bfs = [anchor]
-    queue = deque([anchor])
-    while queue:
-        s = queue.popleft()
-        for t in sys.delta[s]:
-            if order[t] < 0:
-                order[t] = len(bfs)
-                bfs.append(t)
-                queue.append(t)
+    for new, s in enumerate(bfs):
+        order[s] = new
     if len(bfs) != sys.n_states:
         missing = order.index(-1)
         raise NotConnectedError(f"state {missing} is unreachable from anchor {anchor}")
     new_delta = tuple(tuple(order[sys.delta[s][a]] for a in range(sys.n_actions)) for s in bfs)
     labels = label_names = None
     if sys.labels is not None:
-        labels, label_names = _relabel_first_occurrence(
-            tuple(sys.labels[s] for s in bfs), sys.label_names)
+        labels, label_names = intern_names([sys.label_names[sys.labels[s]] for s in bfs])
     initial = None if sys.initial is None else order[sys.initial]
     out = TransitionSystem(sys.n_states, sys.n_actions, sys.action_names, new_delta,
                            labels, label_names, initial)

@@ -11,7 +11,7 @@ exploratory: their transitions read the action, never the sensor value.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     InputError,
@@ -19,7 +19,6 @@ from .core import (
     StateMap,
     TransitionSystem,
     intern_names,
-    require,
 )
 from .partitions import _refine, msr, partition_from_labels
 
@@ -97,24 +96,6 @@ def diamond(prod: ProductSystem, seq) -> tuple[int, int]:
             raise InputError(f"action {a} is out of range")
         p = prod.pair_delta[p][a]
     return prod.pairs[p]
-
-
-def restrict(env: TransitionSystem, internal: TransitionSystem,
-             x0: int, i0: int) -> TransitionSystem:
-    """The internal system as driven through the coupling.
-
-    For exploratory internal systems the environment never influences the
-    internal transition, so the result carries the internal system's own
-    table; this is checked by re-deriving every reachable transition from
-    the product. The returned system is rooted at ``i0``.
-    """
-    prod = couple(env, internal, x0, i0)
-    for p, (_, i) in enumerate(prod.pairs):
-        for a in range(internal.n_actions):
-            _, i_next = prod.pairs[prod.pair_delta[p][a]]
-            require(i_next == internal.delta[i][a],
-                    "coupled internal transition diverged from the internal table")
-    return replace(internal, initial=i0)
 
 
 def is_surpriseless(

@@ -8,7 +8,6 @@ so seeds reproduce across implementations.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -19,6 +18,7 @@ from .core import (
     InputError,
     NotConnectedError,
     TransitionSystem,
+    _bfs_order,
 )
 
 MAX_STATES = 100_000
@@ -169,17 +169,9 @@ def make_arm(spec: ArmSpec) -> TransitionSystem:
     sys = TransitionSystem.from_tables(action_names, delta, labels,
                                        initial=index[spec.click])
     # the free space may be split by obstacles; the click cell anchors the check
-    seen = [False] * sys.n_states
-    seen[sys.initial] = True
-    queue = deque([sys.initial])
-    while queue:
-        s = queue.popleft()
-        for t in sys.delta[s]:
-            if not seen[t]:
-                seen[t] = True
-                queue.append(t)
-    if not all(seen):
-        stranded = free[seen.index(False)]
+    reached = _bfs_order(sys.delta, sys.initial)
+    if len(reached) != sys.n_states:
+        stranded = free[min(set(range(sys.n_states)).difference(reached))]
         raise NotConnectedError(
             f"free space is disconnected: {spec.click} cannot reach {stranded}")
     return sys
@@ -196,6 +188,7 @@ def _minimally_distinguishing(cand: np.ndarray) -> np.ndarray:
 
 def _strongly_connected(cand: np.ndarray) -> np.ndarray:
     """Which of the ``(K, n, m)`` tables have state 0 reaching, and reached from, every state."""
+    # each round rescans every edge, so this is only for the generator's small candidate tables
     k, n, m = cand.shape
     if n == 1:
         return np.ones(k, dtype=bool)

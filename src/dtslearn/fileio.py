@@ -175,6 +175,19 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '\\"') + '"'
 
 
+def _node_lines(node_line, count: int, partition: Partition | None, title: str) -> list[str]:
+    """One line per node, grouped into a subgraph cluster per block of a partition."""
+    if partition is None:
+        return [node_line(v, "  ") for v in range(count)]
+    lines = []
+    for b, block in enumerate(partition.blocks()):
+        lines.append(f"  subgraph cluster_{b} {{")
+        lines.append(f"    label={_quote(f'{title} {b}')};")
+        lines.extend(node_line(v, "    ") for v in block)
+        lines.append("  }")
+    return lines
+
+
 def to_dot(sys: TransitionSystem, partition: Partition | None = None) -> str:
     """Render a system as a DOT digraph, one edge per (state, action).
 
@@ -188,17 +201,10 @@ def to_dot(sys: TransitionSystem, partition: Partition | None = None) -> str:
         shape = "doublecircle" if s == sys.initial else "circle"
         return f"{indent}{s} [label={_quote(text)} shape={shape}];"
 
+    if partition is not None and partition.n_states != sys.n_states:
+        raise InputError("partition is not over the system's states")
     lines = ["digraph dts {", "  rankdir=LR;"]
-    if partition is None:
-        lines.extend(node_line(s, "  ") for s in range(sys.n_states))
-    else:
-        if partition.n_states != sys.n_states:
-            raise InputError("partition is not over the system's states")
-        for b, block in enumerate(partition.blocks()):
-            lines.append(f"  subgraph cluster_{b} {{")
-            lines.append(f"    label={_quote('block ' + str(b))};")
-            lines.extend(node_line(s, "    ") for s in block)
-            lines.append("  }")
+    lines += _node_lines(node_line, sys.n_states, partition, "block")
     for s in range(sys.n_states):
         for a, name in enumerate(sys.action_names):
             lines.append(f"  {s} -> {sys.delta[s][a]} [label={_quote(name)}];")
@@ -208,21 +214,14 @@ def to_dot(sys: TransitionSystem, partition: Partition | None = None) -> str:
 
 def trie_to_dot(trie, partition: Partition | None = None) -> str:
     """Render a history trie (optionally partitioned into classes) as DOT."""
-    lines = ["digraph trie {", "  rankdir=TB;"]
     count = partition.n_states if partition is not None else trie.node_count
 
     def node_line(node: int, indent: str) -> str:
         text = f"{node}\\n{trie.label_names[trie.observation(node)]}"
         return f"{indent}{node} [label={_quote(text)} shape=circle];"
 
-    if partition is None:
-        lines.extend(node_line(v, "  ") for v in range(count))
-    else:
-        for b, block in enumerate(partition.blocks()):
-            lines.append(f"  subgraph cluster_{b} {{")
-            lines.append(f"    label={_quote('class ' + str(b))};")
-            lines.extend(node_line(v, "    ") for v in block)
-            lines.append("  }")
+    lines = ["digraph trie {", "  rankdir=TB;"]
+    lines += _node_lines(node_line, count, partition, "class")
     for node in range(count):
         if trie.level_of(node) == trie.depth:
             continue

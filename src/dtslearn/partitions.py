@@ -19,6 +19,7 @@ from .core import (
     PreconditionError,
     StateMap,
     TransitionSystem,
+    _first_occurrence_count,
     intern_names,
     require,
 )
@@ -37,15 +38,12 @@ class Partition:
         if self.n_states < 1 or len(self.block_of) != self.n_states:
             raise InputError("block_of must assign a block to every state")
         # canonical numbering: the k-th distinct id, scanning states upward, is k
-        next_new = 0
-        for b in self.block_of:
-            if b == next_new:
-                next_new += 1
-            elif not 0 <= b < next_new:
-                raise InputError("blocks must be numbered by smallest member, ascending; "
-                                 "use Partition.from_block_of to canonicalize")
-        if next_new != self.n_blocks:
-            raise InputError(f"n_blocks={self.n_blocks} but {next_new} blocks occur")
+        occurring = _first_occurrence_count(self.block_of)
+        if occurring is None:
+            raise InputError("blocks must be numbered by smallest member, ascending; "
+                             "use Partition.from_block_of to canonicalize")
+        if occurring != self.n_blocks:
+            raise InputError(f"n_blocks={self.n_blocks} but {occurring} blocks occur")
 
     @classmethod
     def from_block_of(cls, raw) -> "Partition":

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dtslearn import (
@@ -61,9 +63,11 @@ class TestValidation:
             TransitionSystem(1, 1, ("a",), ((0,),), labels=(0,))
 
     def test_label_ids_first_occurrence(self):
-        with pytest.raises(InputError):
-            TransitionSystem(2, 1, ("a",), ((0,), (1,)),
-                             labels=(1, 0), label_names=("x", "y"))
+        # out of order, out of range, negative, and a label name no state uses
+        for labels in [(1, 0), (0, 2), (0, -1), (0, 0)]:
+            with pytest.raises(InputError):
+                TransitionSystem(2, 1, ("a",), ((0,), (1,)),
+                                 labels=labels, label_names=("x", "y"))
 
     def test_from_tables_interns_names(self):
         sys = TransitionSystem.from_tables(("a",), [[1], [0]], ["hot", "cold"])
@@ -116,6 +120,16 @@ class TestStronglyConnected:
     def test_one_way_line_is_not(self):
         sys = TransitionSystem(3, 1, ("a",), ((1,), (2,), (2,)))
         assert not is_strongly_connected(sys)
+
+    def test_large_systems_are_linear(self):
+        # a closure that rescans every edge per round would take minutes here
+        n = 100_000
+        line = make_line(n)
+        chain = TransitionSystem(n, 1, ("a",), tuple((min(i + 1, n - 1),) for i in range(n)))
+        for sys, expected in [(line, True), (chain, False)]:
+            start = time.perf_counter()
+            assert is_strongly_connected(sys) == expected
+            assert time.perf_counter() - start < 5.0
 
 
 class TestMinimallyDistinguishing:
@@ -171,8 +185,12 @@ class TestCanonicalForm:
 
     def test_unreachable_state_raises(self):
         sys = TransitionSystem(2, 1, ("a",), ((0,), (0,)))
-        with pytest.raises(NotConnectedError):
+        with pytest.raises(NotConnectedError, match="state 1 is unreachable from anchor 0"):
             canonical_form(sys, 0)
+        # 3 and 2 are both unreachable; the error names the smaller
+        sys = TransitionSystem(4, 1, ("a",), ((1,), (0,), (1,), (2,)))
+        with pytest.raises(NotConnectedError, match="state 2 is unreachable from anchor 1"):
+            canonical_form(sys, 1)
 
     def test_label_ids_reinterned(self):
         # anchoring at 1 makes "white" the first label seen

@@ -15,7 +15,6 @@ from dtslearn import (
     make_cycle,
     make_line,
     make_random,
-    restrict,
     star,
     with_induced_labels,
 )
@@ -83,26 +82,6 @@ class TestDiamond:
             prod = couple(env, internal, 0, 0)
             word = [rng.below(2) for _ in range(rng.below(8))]
             assert diamond(prod, word) == (star(env, 0, word), star(internal, 0, word))
-
-
-class TestRestrict:
-    def test_exploratory_internal_keeps_its_table(self):
-        env = make_line(4)
-        internal = make_cycle(4, pointed=False).unlabeled()
-        internal = TransitionSystem(4, 2, env.action_names, internal.delta)
-        restricted = restrict(env, internal, 0, 2)
-        assert restricted.delta == internal.delta
-        assert restricted.initial == 2
-
-    def test_one_state_internal(self):
-        env = make_line(4)
-        restricted = restrict(env, one_state(env), 0, 0)
-        assert restricted.n_states == 1
-
-    def test_learned_model(self):
-        env = make_line(4)
-        model = learned_model(env)
-        assert restrict(env, model, 0, 0).delta == model.delta
 
 
 class TestSurpriseless:

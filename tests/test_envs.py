@@ -168,7 +168,8 @@ class TestArm:
     def test_disconnected_free_space_rejected(self):
         # the click cell is walled in by its four neighbors
         spec = ArmSpec(2, 3, frozenset({(1, 0), (2, 0), (0, 1), (0, 2)}), (0, 0))
-        with pytest.raises(NotConnectedError):
+        # (1, 1) is the first stranded configuration in lexicographic order
+        with pytest.raises(NotConnectedError, match=r"\(0, 0\) cannot reach \(1, 1\)"):
             make_arm(spec)
 
     def test_resolution_floor(self):

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtslearn import (
     Partition,
     ParseError,
+    TransitionSystem,
     explore,
     bounded_indistinguishability,
     make_arm,
@@ -110,6 +113,16 @@ class TestRoundTrip:
     def test_arm_round_trips(self):
         arm = make_arm(ArmSpec(2, 4, frozenset({(1, 1)}), (0, 0)))
         assert parse_dts(write_dts(arm)) == arm
+
+    def test_distinct_labels_build_and_parse_in_linear_time(self):
+        # one distinct label per state: label validation must stay linear in the state count
+        n = 100_000
+        start = time.perf_counter()
+        delta = [[(i + 1) % n, (i - 1) % n] for i in range(n)]
+        sys = TransitionSystem.from_tables(("CW", "CCW"), delta, [f"s{i}" for i in range(n)], 0)
+        assert parse_dts(write_dts(sys)) == sys
+        assert sys.n_labels == n
+        assert time.perf_counter() - start < 5.0
 
 
 class TestPartitionFormat:

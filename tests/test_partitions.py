@@ -44,6 +44,10 @@ class TestPartitionType:
     def test_canonical_numbering_enforced(self):
         with pytest.raises(InputError):
             Partition(3, 2, (1, 0, 0))
+        with pytest.raises(InputError, match="numbered by smallest member"):
+            Partition(3, 1, (0, -1, 0))
+        with pytest.raises(InputError, match="n_blocks=3 but 2 blocks occur"):
+            Partition(3, 3, (0, 1, 0))
 
     def test_from_block_of_canonicalizes(self):
         part = Partition.from_block_of([5, 2, 5, 9])
