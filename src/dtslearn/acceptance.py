@@ -89,21 +89,8 @@ def _coarsen_randomly(e: Partition, rng: SplitMix64) -> Partition:
     return Partition.from_block_of([merge[b] for b in e.block_of])
 
 
-def _check_fig_line(seed: int) -> str:
-    env = make_line(4)
-    model, report = learn(env, 0, max_depth=12)
-    require(report.converged, "learning did not stabilize")
-    require(report.depth_converged <= 8, f"stabilized too late: {report.depth_converged}")
-    require(model.n_states == 4, f"{model.n_states}-state model, expected 4")
-    result = verify_learned(env, 0, model)
-    require(result.isomorphic and result.bisimilar and result.surpriseless,
-            f"model fails verification: {result}")
-    return (f"4-state model at depth {report.depth_converged}, "
-            f"isomorphic/bisimilar/surpriseless")
-
-
-def _check_fig_cycle(seed: int) -> str:
-    env = make_cycle(4)
+def _walkthrough(env: TransitionSystem) -> str:
+    """Learn a 4-state system by depth 8 and verify the model three ways."""
     model, report = learn(env, 0, max_depth=12)
     require(report.converged, "learning did not stabilize")
     require(report.depth_converged <= 8, f"stabilized too late: {report.depth_converged}")
@@ -112,6 +99,14 @@ def _check_fig_cycle(seed: int) -> str:
     require(result.isomorphic and result.bisimilar and result.surpriseless,
             f"model fails verification: {result}")
     return f"4-state model at depth {report.depth_converged}"
+
+
+def _check_fig_line(seed: int) -> str:
+    return _walkthrough(make_line(4)) + ", isomorphic/bisimilar/surpriseless"
+
+
+def _check_fig_cycle(seed: int) -> str:
+    return _walkthrough(make_cycle(4))
 
 
 def _check_arm(seed: int) -> str:

@@ -148,9 +148,6 @@ class TransitionSystem:
     def n_labels(self) -> int:
         return 0 if self.label_names is None else len(self.label_names)
 
-    def step(self, s: int, a: int) -> int:
-        return self.delta[s][a]
-
     def label_name_of(self, s: int) -> str:
         if self.labels is None:
             raise InputError("system is unlabeled")
@@ -176,10 +173,6 @@ class StateMap:
         for s, t in enumerate(self.map):
             if not 0 <= t < self.target_size:
                 raise InputError(f"map({s})={t} is out of range")
-
-    @classmethod
-    def identity(cls, n: int) -> "StateMap":
-        return cls(n, n, tuple(range(n)))
 
     def __call__(self, s: int) -> int:
         return self.map[s]

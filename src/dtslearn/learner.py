@@ -7,23 +7,19 @@ tells apart are merged, and the merged classes form a candidate model of
 the environment. Deepening until two successive candidates agree yields,
 for well-behaved environments, a model isomorphic to the environment.
 
-Two realizations of the per-depth candidate are provided:
-
-* ``trie`` materializes the complete trie of all action words up to the
-  depth and partitions its nodes by iterated splitting over a horizon.
-  Exact, but exponential in the depth; used below a node budget.
-* ``frontier`` runs an L*/L#-style observation table over one query cache
-  shared by all depths: suffixes are added only where two words of a row
-  disagree or the hypothesis fails a test (counterexamples reduced as in
-  Rivest & Schapire). Polynomial in the environment size, but for the tests
-  that a raised depth floor asks for.
+Each depth's candidate comes from an L*/L#-style observation table over one
+observation tree shared by all depths: suffixes are added only where two
+words of a row disagree or the hypothesis fails a test (counterexamples
+reduced as in Rivest & Schapire). Where the complete trie of all words up to
+the depth has at most ``TRIE_NODES`` nodes, it is explored instead and its
+nodes are split over a horizon, which is exact and cheaper at that size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, cycle, groupby, islice, product
+from itertools import accumulate, cycle, islice, product
 from time import perf_counter
 
 import numpy as np
@@ -36,12 +32,13 @@ from .core import (
     require,
 )
 from .coupling import couple, is_surpriseless, are_bisimilar
-from .envs import SplitMix64
+from .envs import SplitMix64, _whole_number
 from .partitions import Partition
 
 EXPLORE_NODE_BUDGET = 1 << 25
-DEFAULT_TRIE_BUDGET = 500_000
 TABLE_SUITE_SIZE = 32  # test suffixes per depth once there are more words of horizon length
+TABLE_TEST_WORDS = 1 << 13  # most words of length min_depth // 2 - 1 a depth floor may ask for
+TRIE_NODES = 1 << 14  # a complete trie this small is cheaper to explore than a table build
 
 
 def count_nodes(n_actions: int, depth: int) -> int:
@@ -300,69 +297,101 @@ def build_model(trie: HistoryTrie, horizon: int) -> tuple[TransitionSystem | Non
     return model, BuildReport(True, True, True, part.n_blocks, n_eligible)
 
 
-def _walk(table: np.ndarray, nodes, word) -> np.ndarray:
-    """Follow ``word`` (actions, or columns of actions) from ``nodes`` through ``table``."""
-    for a in word:
-        nodes = table[nodes, a]
-    return nodes
+def _padded(words) -> tuple[np.ndarray, np.ndarray]:
+    """The words as rows of an action matrix, padded with action 0, and their lengths."""
+    width = max(map(len, words))
+    rows = np.array([w + (0,) * (width - len(w)) for w in words], dtype=np.int64)
+    return rows, np.array([len(w) for w in words])
 
 
 class _ObservationTable:
-    """Access words and a growing suffix set over one query cache, kept for a whole run.
+    """Representatives and a growing suffix set over one observation tree, kept for a whole run.
 
-    ``tree[v]`` holds the child of node ``v`` under each action, then the sensor
-    value seen there; node 1 is the empty word, node 0 every word not asked yet
-    (its children are itself, its value -1). Rows are read off the tree.
+    A word is a node id. ``tree[v]`` holds the child of node ``v`` under each
+    action (0 if none), the sensor value seen at ``v`` (-1 until replayed) and
+    ``parent·m + action``, so a word is spelled out only for the oracle. Node
+    1 is the empty word, node 0 a blank whose children are itself. Nodes from
+    ``asked`` on wait for a replay. The representatives (the first word of each
+    row, breadth-first) and their successors' rows hold until a suffix is added.
     """
 
     def __init__(self, oracle: EnvOracle):
         self.oracle, self.m = oracle, oracle.n_actions
-        self.tree = np.zeros((1024, self.m + 1), dtype=np.int32)
-        self.tree[:, -1] = -1
-        self.size, self.suffixes = 2, [()]  # suffixes only grow
+        # node ids and parent codes stay below 2^31 until the tree outgrows 8 GiB
+        self.tree = np.zeros((1024, self.m + 2), dtype=np.int32)
+        self.tree[:, self.m] = -1
+        self.size, self.asked = 2, 1
+        self.suffixes = [()]  # suffixes only grow
+        self._reset()
 
-    def _find(self, words) -> np.ndarray:
-        """The node of each word; 0 for words not asked yet."""
-        out = np.zeros(len(words), dtype=np.int64)
-        order = sorted(range(len(words)), key=lambda i: len(words[i]))
-        for n, idx in groupby(order, key=lambda i: len(words[i])):
-            idx = list(idx)
-            cols = np.array([words[i] for i in idx]).reshape(len(idx), n).T
-            out[idx] = _walk(self.tree, np.ones(len(idx), dtype=np.int64), cols)
-        return out
+    def _reset(self):
+        # the rows of a node's successors, read from the node: each action, then each suffix
+        self.succ_acts, self.succ_lens = _padded([(a,) + e for a in range(self.m)
+                                                  for e in self.suffixes])
+        self.known, self.reps, self.rep_len, self.expanded = {}, [1], [0], 0
+        self.kids, self.targets, self.succ_rows = [], [], []
 
-    def _observe(self, words, suffixes) -> np.ndarray:
-        """The sensor value after each word then each suffix, asking for those not seen yet."""
-        def look():
-            nodes = self._find(words)
-            return np.column_stack([self.tree[_walk(self.tree, nodes, e), -1] for e in suffixes])
-        seen = look()
-        if (seen < 0).any():
-            self._ask([words[i] + suffixes[j] for i, j in np.argwhere(seen < 0).tolist()])
-            seen = look()
-        return seen
+    def _observe(self, starts, acts, lens) -> np.ndarray:
+        """The sensor value after each start then its padded row of ``acts``, asking for new words.
 
-    def _ask(self, words):
-        """Replay the missing words not prefixes of others, one batch of sessions per length."""
-        words = sorted(set(words))
-        longest = [w for w, nxt in zip(words, words[1:]) if nxt[:len(w)] != w] + words[-1:]
-        for n, group in groupby(sorted(longest, key=len), key=len):
-            group = list(group)
-            cols = np.array(group).reshape(len(group), n).T
-            self.tree[1, -1] = self.oracle.start(len(group))[0]
-            v = np.ones(len(group), dtype=np.int64)
-            for col in cols:
-                seen = self.oracle.step(col)
-                new = np.flatnonzero(self.tree[v, col] == 0)
-                if len(new):
-                    key, first = np.unique(v[new] * self.m + col[new], return_index=True)
-                    ids = np.arange(self.size, self.size + len(key))
-                    self.size += len(key)
-                    if self.size > len(self.tree):  # grow by copies of the blank node 0
-                        self.tree = np.concatenate([self.tree, self.tree[:1].repeat(self.size, 0)])
-                    self.tree[key // self.m, key % self.m] = ids
-                    self.tree[ids, -1] = seen[new[first]]
-                v = self.tree[v, col]
+        ``starts`` holds one node per row, or a column of nodes that each take every row.
+        """
+        shape = np.broadcast_shapes(starts.shape, lens.shape)
+        cur = np.broadcast_to(starts, shape)
+        for t in range(acts.shape[1]):
+            act = np.broadcast_to(acts[:, t], shape)
+            kid, live = self.tree[cur, act], lens > t
+            new = live & (kid == 0)
+            if new.any():
+                keys = np.unique(cur[new] * self.m + act[new])
+                ids = np.arange(self.size, self.size + len(keys))
+                self.size += len(keys)
+                if self.size > len(self.tree):  # grow by copies of the blank node 0
+                    blank = np.broadcast_to(self.tree[0], (self.size, self.m + 2))
+                    self.tree = np.concatenate([self.tree, blank])
+                self.tree[keys // self.m, keys % self.m] = ids
+                self.tree[ids, self.m + 1] = keys
+                kid = self.tree[cur, act]
+            cur = np.where(live, kid, cur)
+        if self.asked < self.size:
+            self._ask()
+        return self.tree[cur, self.m]
+
+    def _ask(self):
+        """Replay the new leaves (asked words no other extends), one batch per length."""
+        m, tree = self.m, self.tree
+        new = np.arange(self.asked, self.size, dtype=np.int32)
+        v = new[(tree[new, :m] == 0).all(1)]
+        path = []  # the nodes j steps above each leaf
+        while v.any():  # the root's parent code leads to the blank node 0
+            path.append(v)
+            v = tree[v, m + 1] // m
+        path = np.array(path)
+        back, length = tree[path, m + 1] % m, (path > 1).sum(0)  # actions into them; lengths
+        for n in np.unique(length).tolist():
+            group = length == n
+            tree[1, m] = self.oracle.start(int(group.sum()))[0]
+            for a, v in zip(back[:n][::-1, group], path[:n][::-1, group]):
+                tree[v, m] = self.oracle.step(a)
+        self.asked = self.size
+
+    def _expand(self, max_len: int):
+        """Carry the representatives on through words of length ``max_len``."""
+        if not self.known:  # the empty word's row comes first
+            root = self._observe(np.ones((1, 1), dtype=np.int64), *_padded(self.suffixes))
+            self.known[root[0].tobytes()] = 0
+        while self.expanded < len(self.reps) and self.rep_len[self.expanded] <= max_len:
+            level, length = np.array(self.reps[self.expanded:]), self.rep_len[-1] + 1
+            self.expanded = len(self.reps)
+            rows = self._observe(level[:, None], self.succ_acts, self.succ_lens)
+            kids = self.tree[level, :self.m].ravel().tolist()
+            for w, row in zip(kids, rows.reshape(len(kids), -1)):
+                self.targets.append(self.known.setdefault(row.tobytes(), len(self.reps)))
+                if self.targets[-1] == len(self.reps):  # a new row
+                    self.reps.append(w)
+                    self.rep_len.append(length)
+            self.kids += kids
+            self.succ_rows.append(rows)
 
     def build(self, depth: int, horizon: int, min_depth: int,
               ) -> tuple[TransitionSystem | None, BuildReport]:
@@ -374,72 +403,66 @@ class _ObservationTable:
         """
         max_len = depth - horizon - 1  # same shallowness rule as the trie build
         m, actions = self.m, self.oracle.action_names
-        rng = SplitMix64(depth)  # tests depend on the depth alone
         complete = max(min(depth, min_depth) // 2 - 1, 0)
         count = max(TABLE_SUITE_SIZE, m ** complete)
-        tests = (list(product(range(m), repeat=horizon)) if m ** horizon <= count else
-                 [w + tuple(rng.below(m) for _ in range(horizon - complete))
-                  for w in islice(cycle(product(range(m), repeat=complete)), count)])
+        if m ** horizon <= count:
+            tests = np.array(list(product(range(m), repeat=horizon)), dtype=np.int64)
+        else:  # the tails depend on the depth alone
+            heads = np.array(list(islice(cycle(product(range(m), repeat=complete)), count)),
+                             dtype=np.int64)
+            tail = SplitMix64(depth).next_u64s(count * (horizon - complete)) % np.uint64(m)
+            tests = np.hstack([heads, tail.astype(np.int64).reshape(count, -1)])
         while True:
-            # representatives: the first word of each row, breadth-first
-            reps, targets, level = [()], [], [0]
-            known, kid_rows = {tuple(self._observe([()], self.suffixes)[0].tolist()): 0}, []
-            while level:
-                kids, first = [reps[r] + (a,) for r in level for a in range(m)], len(reps)
-                kid_rows.append(self._observe(kids, self.suffixes))
-                for w, row in zip(kids, map(tuple, kid_rows[-1].tolist())):
-                    if known.setdefault(row, len(reps)) == len(reps):
-                        reps.append(w)
-                    targets.append(known[row])
-                level = [r for r in range(first, len(reps)) if len(reps[r]) <= max_len]
-            n = len(targets) // m
-            delta = [targets[r * m:(r + 1) * m] for r in range(n)]
-            for r, a in product(range(n), range(m)):
-                if delta[r][a] >= n:
-                    return None, BuildReport(
-                        False, True, False, len(reps), n,
-                        f"not closed: class {r} leads under action {actions[a]!r} "
-                        "to a class with no shallow member")
+            self._expand(max_len)
+            n = self.expanded
+            delta = np.array(self.targets).reshape(n, m)
+            if (delta >= n).any():
+                r, a = np.argwhere(delta >= n)[0]
+                return None, BuildReport(
+                    False, True, False, len(self.reps), n,
+                    f"not closed: class {r} leads under action {actions[a]!r} "
+                    "to a class with no shallow member")
             # consistent: a word's successors share its representative's rows
-            ext = [(reps[r] + (a, b), c * m + b, delta[c][b])
-                   for r in range(n) for a, c in enumerate(delta[r])
-                   if len(reps[r]) < max_len and reps[r] + (a,) != reps[c] for b in range(m)]
-            twins = np.concatenate(kid_rows)[[t for _, t, _ in ext]]  # row of reps[c]·b
-            bad = np.argwhere(self._observe([w for w, _, _ in ext], self.suffixes) != twins)
+            reps, kids, targets = np.array(self.reps[:n]), np.array(self.kids), delta.reshape(-1)
+            split = np.flatnonzero(np.repeat(np.array(self.rep_len[:n]) < max_len, m)
+                                   & (kids != reps[targets]))
+            rows = self._observe(kids[split][:, None], self.succ_acts, self.succ_lens)
+            bad = np.argwhere(rows != np.concatenate(self.succ_rows)[targets[split]])
             if len(bad):
-                i, k = bad[0]
-                suffix = (ext[i][0][-1],) + self.suffixes[k]
+                b, k = divmod(int(bad[0][1]), len(self.suffixes))
+                suffix = (b,) + self.suffixes[k]
             else:
-                cover = (reps[:n] + [reps[r] + (a,) for r in range(n) for a in range(m)]
-                         + [w for w, _, _ in ext])
-                states = list(range(n)) + targets + [q for _, _, q in ext]
-                labels = self._observe(reps[:n], [()])[:, 0]
-                suffix = self._counterexample(cover, states, tests, reps, labels, delta)
+                cover = np.concatenate([reps, kids, self.tree[kids[split], :m].ravel()])
+                states = np.concatenate([np.arange(n), targets, delta[targets[split]].ravel()])
+                suffix = self._counterexample(cover, states, tests, reps, delta)
                 if suffix is None:
                     break
             self.suffixes.append(suffix)
-        names = [self.oracle.label_names[label] for label in labels]
-        model = TransitionSystem.from_tables(actions, delta, names, initial=0)
-        return model, BuildReport(True, True, True, len(reps), n)
+            self._reset()
+        names = [self.oracle.label_names[label] for label in self.tree[reps, self.m]]
+        model = TransitionSystem.from_tables(actions, delta.tolist(), names, initial=0)
+        return model, BuildReport(True, True, True, len(self.reps), n)
 
-    def _counterexample(self, cover, states, tests, reps, labels, delta):
+    def _counterexample(self, cover, states, tests, reps, delta):
         """A suffix splitting a row, from the first test prefix the hypothesis labels wrong.
 
         As in Rivest & Schapire, with ``acc(x)`` the representative reached by
         ``x``, some ``i`` has ``obs(acc(w[:i]) w[i:]) != obs(acc(w[:i+1]) w[i+1:])``.
         """
-        self._observe(cover, tests)  # ask every test word
-        cols = np.array(tests).reshape(len(tests), -1).T
-        node = self._find(cover)[:, None].repeat(len(tests), 1)
-        state, table = np.array(states)[:, None].repeat(len(tests), 1), np.array(delta)
-        for j, col in enumerate(cols):
-            node, state = self.tree[node, col], table[state, col]
-            bad = np.argwhere(self.tree[node, -1] != labels[state])
-            if len(bad):
-                w = cover[bad[0][0]] + tests[bad[0][1]][:j + 1]
-                q = list(accumulate(w, lambda state, a: delta[state][a], initial=0))
-                probes = self._observe([reps[q[i]] + w[i:] for i in range(len(w) + 1)], [()])[:, 0]
-                return w[next(i for i in range(len(w)) if probes[i] != probes[i + 1]) + 1:]
+        self._observe(cover[:, None], tests, np.full(len(tests), tests.shape[1]))  # ask all tests
+        labels, node, state = self.tree[reps, self.m], cover[:, None], states[:, None]
+        for j in range(tests.shape[1]):
+            node, state = self.tree[node, tests[:, j]], delta[state, tests[:, j]]
+            bad = self.tree[node, self.m] != labels[state]
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
+                v, w = int(cover[i]), tuple(tests[k, :j + 1].tolist())
+                while v > 1:  # spell the cover word out
+                    v, a = divmod(int(self.tree[v, self.m + 1]), self.m)
+                    w = (a,) + w
+                q = list(accumulate(w, lambda state, a: delta[state, a], initial=0))
+                seen = self._observe(reps[q], *_padded([w[i:] for i in range(len(w) + 1)]))
+                return w[next(i for i in range(len(w)) if seen[i] != seen[i + 1]) + 1:]
         return None
 
 
@@ -482,64 +505,52 @@ class LearnReport:
         return "\n".join(lines)
 
 
-def learn(env, x0: int | None, max_depth: int, method: str = "auto",
-          trie_node_budget: int = DEFAULT_TRIE_BUDGET, min_depth: int = 2,
+def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
           ) -> tuple[TransitionSystem | None, LearnReport]:
     """Deepen exploration until two successive candidate models agree.
 
     Runs depths 2, 4, ... up to ``max_depth`` with the horizon at half the
     depth, and stops once the candidates of two successive depths have
-    identical canonical forms anchored at the root class. Agreement of two
-    depths is a heuristic; the candidate at depth ``D`` is guaranteed exact
-    only once ``D`` reaches twice the true model size, so callers who know
-    a bound can raise ``min_depth`` to refuse convergence claims from
-    shallower pairs. ``method`` picks the per-depth realization: "trie" (the
-    full trie, ``m**depth`` words), "frontier" (an observation table over one
-    query cache, polynomial in the model size), or "auto" (trie below
-    ``trie_node_budget`` nodes). The table's tests hold every word of length
-    ``min_depth // 2 - 1``, as the exactness bound needs, so their cost is
-    exponential in the floor. Returns the stabilized model in canonical form,
-    or the last candidate (possibly None) when the depth budget runs out,
-    together with a report of each depth's oracle calls and time.
+    identical canonical forms anchored at the root class. Agreement is a
+    heuristic: the candidate at depth ``D`` is exact once ``D`` reaches twice
+    the true model size, so callers who know a bound can raise ``min_depth``
+    to refuse shallower claims. The table's tests then hold every word of
+    length ``min_depth // 2 - 1``; more than ``TABLE_TEST_WORDS`` of them is
+    an ``InputError``. Returns the stabilized model in canonical form, or the
+    last candidate (possibly None), with each depth's oracle calls and time.
     """
+    max_depth = _whole_number(max_depth, "max_depth")
+    min_depth = _whole_number(min_depth, "min_depth")
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
-    if method not in ("auto", "trie", "frontier"):
-        raise InputError(f"unknown method {method!r}")
     oracle = _as_oracle(env, x0)
+    floor = max(min(max_depth, min_depth) // 2 - 1, 0)
+    # m >= 2 words of a length past the bound's bit length exceed the bound
+    if oracle.n_actions ** min(floor, TABLE_TEST_WORDS.bit_length()) > TABLE_TEST_WORDS:
+        raise InputError(f"a depth floor of {min_depth} asks for every word of length {floor} "
+                         f"over {oracle.n_actions} actions, more than {TABLE_TEST_WORDS}")
     resets0, steps0 = oracle.resets, oracle.steps
     table = _ObservationTable(oracle)  # one query cache for every depth
     attempts: list[DepthAttempt] = []
-    prev_model: TransitionSystem | None = None
-    prev_depth: int | None = None
-    last_depth = 0
+    prev_model, prev_depth, converged = None, None, False
     for depth in range(2, max_depth + 1, 2):
-        last_depth = depth
         horizon = depth // 2
-        use_trie = (method != "frontier"
-                    and count_nodes(oracle.n_actions, depth) <= trie_node_budget)
-        if method == "trie" and not use_trie:
-            raise InputError(f"depth {depth} exceeds the trie node budget; "
-                             "use method='auto' or 'frontier'")
+        method = "trie" if count_nodes(oracle.n_actions, depth) <= TRIE_NODES else "table"
         resets, steps, t0 = oracle.resets, oracle.steps, perf_counter()
-        if use_trie:
+        if method == "trie":
             model, report = build_model(explore(oracle, None, depth), horizon)
         else:
             model, report = table.build(depth, horizon, min_depth)
-        attempts.append(DepthAttempt(
-            depth, horizon, "trie" if use_trie else "frontier", report.ok,
-            report.n_model_states, report.detail, oracle.resets - resets,
-            oracle.steps - steps, perf_counter() - t0))
-        if model is None:
-            prev_model, prev_depth = None, None
-            continue
-        model = canonical_form(model, model.initial)[0]
-        if prev_model is not None and model == prev_model and prev_depth >= min_depth:
-            return model, LearnReport(True, prev_depth, depth,
-                                      oracle.resets - resets0, oracle.steps - steps0,
-                                      tuple(attempts))
+        attempts.append(DepthAttempt(depth, horizon, method, report.ok, report.n_model_states,
+                                     report.detail, oracle.resets - resets,
+                                     oracle.steps - steps, perf_counter() - t0))
+        if model is not None:
+            model = canonical_form(model, model.initial)[0]
+        converged = model is not None and model == prev_model and prev_depth >= min_depth
+        if converged:
+            break
         prev_model, prev_depth = model, depth
-    return prev_model, LearnReport(False, None, last_depth,
+    return prev_model, LearnReport(converged, prev_depth if converged else None, depth,
                                    oracle.resets - resets0, oracle.steps - steps0,
                                    tuple(attempts))
 

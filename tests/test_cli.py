@@ -188,6 +188,14 @@ class TestEndToEnd:
                      "--prop", "chiral"])
         assert code == 2
 
+    def test_unbounded_depth_floor_exits_two(self, tmp_path, capsys):
+        # every word of length 19 would start a test: refused up front, not run
+        env_file = tmp_path / "env.dts"
+        env_file.write_text(write_dts(make_line(4)))
+        code, _, err = run(capsys, "learn", "--env", str(env_file), "--max-depth", "40",
+                           "--min-depth", "40")
+        assert code == 2 and "floor" in err
+
 
 class TestVerifyDeterminism:
     def test_fast_checks_repeat_identically(self, capsys):

@@ -264,7 +264,7 @@ class TestIsomorphism:
 class TestHomomorphism:
     def test_identity_map(self):
         env = make_line(4)
-        assert is_homomorphism(StateMap.identity(4), env, env)
+        assert is_homomorphism(StateMap(4, 4, (0, 1, 2, 3)), env, env)
 
     def test_constant_map_onto_moving_state_fails(self):
         env = make_line(4)
@@ -275,8 +275,8 @@ class TestHomomorphism:
     def test_size_mismatch_is_an_error(self):
         env = make_line(4)
         with pytest.raises(InputError):
-            is_homomorphism(StateMap.identity(3), env, env)
+            is_homomorphism(StateMap(3, 3, (0, 1, 2)), env, env)
 
     def test_alphabet_mismatch_is_an_error(self):
         with pytest.raises(InputError):
-            is_homomorphism(StateMap.identity(4), make_line(4), make_cycle(4))
+            is_homomorphism(StateMap(4, 4, (0, 1, 2, 3)), make_line(4), make_cycle(4))

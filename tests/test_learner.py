@@ -10,6 +10,7 @@ from dtslearn import (
     are_isomorphic,
     bounded_indistinguishability,
     build_model,
+    canonical_form,
     explore,
     learn,
     make_arm,
@@ -23,6 +24,7 @@ from dtslearn import (
     star,
     verify_learned,
 )
+from dtslearn import learner
 from dtslearn.envs import ArmSpec, SplitMix64
 from dtslearn.learner import HistoryTrie, count_nodes
 
@@ -45,6 +47,25 @@ def rowsort_bounded_indistinguishability(trie, horizon):
         _, inverse = np.unique(np.concatenate(rows), axis=0, return_inverse=True)
         classes = np.split(inverse.reshape(-1), np.cumsum(sizes)[:-1])
     return Partition.from_block_of(np.concatenate(classes[:trie.depth - horizon + 1]).tolist())
+
+
+def trie_learn(env, x0, max_depth, min_depth=2):
+    """``learn``'s deepening and stop rule over the complete trie at every depth.
+
+    Exact but exponential in the depth, so it serves as the reference; returns
+    the model and the depth it converged at (None if it did not).
+    """
+    prev, prev_depth = None, None
+    for depth in range(2, max_depth + 1, 2):
+        model, _ = build_model(explore(env, x0, depth), depth // 2)
+        if model is None:
+            prev, prev_depth = None, None
+            continue
+        model = canonical_form(model, model.initial)[0]
+        if prev is not None and model == prev and prev_depth >= min_depth:
+            return model, prev_depth
+        prev, prev_depth = model, depth
+    return prev, None
 
 
 def random_trie(rng, m, k, depth):
@@ -276,33 +297,46 @@ class TestLearn:
             (oracle.resets, oracle.steps)
         assert report.oracle_resets > 0 and report.oracle_steps > 0
 
-    def test_methods_agree(self):
+    def test_methods_agree(self, monkeypatch):
+        # learn runs the trie only where it is small; with no such depths,
+        # every candidate comes from the observation table
         rng = SplitMix64(32)
-        for _ in range(15):
-            env = make_random(2 + rng.below(5), 2, rng.next_u64(),
-                              pointed=bool(rng.below(2)))
-            via_trie, rep_t = learn(env, 0, 20, method="trie",
-                                    trie_node_budget=10 ** 7)
-            via_frontier, rep_f = learn(env, 0, 20, method="frontier")
-            assert via_trie == via_frontier
-            assert rep_t.depth_converged == rep_f.depth_converged
+        systems = [make_random(2 + rng.below(5), 2, rng.next_u64(), pointed=bool(rng.below(2)))
+                   for _ in range(15)]
+        expected = [trie_learn(env, 0, 20) for env in systems]
+        for trie_nodes in (learner.TRIE_NODES, 0):
+            monkeypatch.setattr(learner, "TRIE_NODES", trie_nodes)
+            for env, (model, depth) in zip(systems, expected):
+                learned, report = learn(env, 0, 20)
+                assert learned == model
+                assert report.depth_converged == depth
 
-    def test_trie_method_respects_its_budget(self):
-        with pytest.raises(InputError, match="budget"):
-            learn(make_line(4), 0, 40, method="trie", trie_node_budget=100)
+    def test_depths_are_validated(self):
+        env = make_line(4)
+        for max_depth, min_depth in ((12.5, 2), ("12", 2), (1, 2), (12, 2.0), (12, None)):
+            with pytest.raises(InputError):
+                learn(env, 0, max_depth, min_depth=min_depth)
+        # a floor whose exhaustive test words would outgrow the bound fails
+        # before any oracle call; a low max_depth caps the floor
+        oracle = EnvOracle(env, 0)
+        for floor in (30, 40, 10 ** 9):
+            with pytest.raises(InputError, match="floor"):
+                learn(oracle, None, floor, min_depth=floor)
+        assert (oracle.resets, oracle.steps) == (0, 0)
+        _, report = learn(oracle, None, 4, min_depth=40)
+        assert not report.converged
 
     def test_learned_quotient_matches_the_congruence_quotient(self):
         # arbitrary label maps: the learner recovers the environment up to
         # its own coarsest congruence, even without a pointed sensor; a
         # depth floor of twice the state count invokes the exactness bound,
         # which the observation table meets as the trie does
-        for method, n_actions, seed in (("auto", 2, 33), ("frontier", 2, 35),
-                                         ("frontier", 3, 36), ("frontier", 4, 37)):
+        for n_actions, seed in ((2, 33), (2, 35), (3, 36), (4, 37)):
             rng = SplitMix64(seed)
             for _ in range(25):
                 n = 2 + rng.below(5)
                 env = make_random(n, n_actions, rng.next_u64())
-                model, report = learn(env, 0, 2 * n + 6, method=method, min_depth=2 * n)
+                model, report = learn(env, 0, 2 * n + 6, min_depth=2 * n)
                 assert report.converged
                 reference, _ = quotient(env, msr(env, partition_from_labels(env)))
                 assert are_isomorphic(model, reference, anchored=True)[0]
@@ -333,8 +367,7 @@ class TestLearn:
 
     def test_per_depth_costs_add_up_to_the_totals(self):
         env = make_random(6, 3, 77)
-        _, report = learn(env, 0, 14, trie_node_budget=200)
-        assert {att.method for att in report.attempts} == {"trie", "frontier"}
+        _, report = learn(env, 0, 14)
         assert sum(att.resets for att in report.attempts) == report.oracle_resets
         assert sum(att.steps for att in report.attempts) == report.oracle_steps
         assert all(att.seconds >= 0 for att in report.attempts)
@@ -343,22 +376,23 @@ class TestLearn:
 
     def test_combination_lock_is_exact_only_with_the_depth_floor(self):
         # "r" advances, "w" resets, and only the last state clicks: one word
-        # of length n - 1 tells the states apart. The table's sampled tests
-        # miss it and settle on one state; the floor 2n makes every word of
-        # length n start a test, which the exactness bound needs
+        # of length n - 1 tells the states apart. Shallow tries and the
+        # table's sampled tests miss it and settle on one state; the floor 2n
+        # makes every word of length n - 1 start a test, which the exactness
+        # bound needs
         n = 12
         env = TransitionSystem.from_tables(
             ("r", "w"), [[min(i + 1, n - 1), 0] for i in range(n)],
             ["blank"] * (n - 1) + ["click"], 0)
-        eager, report = learn(env, 0, 2 * n + 6, method="frontier")
+        eager, report = learn(env, 0, 2 * n + 6)
         assert report.converged and eager.n_states == 1
-        patient, report = learn(env, 0, 2 * n + 6, method="frontier", min_depth=2 * n)
+        patient, report = learn(env, 0, 2 * n + 6, min_depth=2 * n)
         assert report.converged
         assert are_isomorphic(env, patient, anchored=True)[0]
 
     def test_table_cost_stays_polynomial_in_the_depth(self):
         # the full trie at depth 68 would need 2^34 sessions per word
-        _, report = learn(make_line(80), 0, 68, method="frontier")
+        _, report = learn(make_line(80), 0, 68)
         assert not report.converged
         assert report.oracle_resets < 10 ** 6
 
@@ -368,7 +402,7 @@ class TestLearn:
         env = make_arm(spec)
         assert env.n_states == 34
         model, report = learn(env, env.initial, 20)
-        assert report.converged and report.attempts[-1].method == "frontier"
+        assert report.converged
         assert are_isomorphic(env, model, anchored=True, anchor_a=env.initial)[0]
         assert report.oracle_resets < 10 ** 6
 
