@@ -29,7 +29,7 @@ from .coupling import (
     with_induced_labels,
 )
 from .envs import ArmSpec, SplitMix64, make_arm, make_cycle, make_line, make_random
-from .learner import learn, verify_learned
+from .learner import LearnReport, learn, verify_learned
 from .partitions import (
     Partition,
     fiber_partition,
@@ -89,24 +89,26 @@ def _coarsen_randomly(e: Partition, rng: SplitMix64) -> Partition:
     return Partition.from_block_of([merge[b] for b in e.block_of])
 
 
-def _walkthrough(env: TransitionSystem) -> str:
-    """Learn a 4-state system by depth 8 and verify the model three ways."""
-    model, report = learn(env, 0, max_depth=12)
+def _walkthrough(env: TransitionSystem, max_depth: int, by_depth: int) -> LearnReport:
+    """Learn ``env`` from its initial state by ``by_depth``; the model must match it three ways."""
+    model, report = learn(env, env.initial, max_depth=max_depth)
     require(report.converged, "learning did not stabilize")
-    require(report.depth_converged <= 8, f"stabilized too late: {report.depth_converged}")
-    require(model.n_states == 4, f"{model.n_states}-state model, expected 4")
-    result = verify_learned(env, 0, model)
+    require(report.depth_converged <= by_depth, f"stabilized too late: {report.depth_converged}")
+    require(model.n_states == env.n_states,
+            f"{model.n_states}-state model, expected {env.n_states}")
+    result = verify_learned(env, env.initial, model)
     require(result.isomorphic and result.bisimilar and result.surpriseless,
             f"model fails verification: {result}")
-    return f"4-state model at depth {report.depth_converged}"
+    return report
 
 
 def _check_fig_line(seed: int) -> str:
-    return _walkthrough(make_line(4)) + ", isomorphic/bisimilar/surpriseless"
+    depth = _walkthrough(make_line(4), 12, 8).depth_converged
+    return f"4-state model at depth {depth}, isomorphic/bisimilar/surpriseless"
 
 
 def _check_fig_cycle(seed: int) -> str:
-    return _walkthrough(make_cycle(4))
+    return f"4-state model at depth {_walkthrough(make_cycle(4), 12, 8).depth_converged}"
 
 
 def _check_arm(seed: int) -> str:
@@ -117,12 +119,7 @@ def _check_arm(seed: int) -> str:
     require(is_strongly_connected(env), "the arm is not strongly connected")
     require(is_minimally_distinguishing(env)[0], "the arm is not minimally distinguishing")
     require(pointed_classes(partition_from_labels(env)), "the arm's sensor is not pointed")
-    model, report = learn(env, env.initial, max_depth=68)
-    require(report.converged, "learning did not stabilize")
-    require(model.n_states == 34, f"{model.n_states}-state model, expected 34")
-    result = verify_learned(env, env.initial, model)
-    require(result.isomorphic and result.bisimilar and result.surpriseless,
-            f"model fails verification: {result}")
+    report = _walkthrough(env, 68, 68)
     return (f"34-state arm recovered at depth {report.depth_converged} "
             f"({report.oracle_resets} resets, {report.oracle_steps} steps)")
 
@@ -227,7 +224,7 @@ def _alternating_cycle(n: int) -> TransitionSystem:
 
 def _check_symmetry(seed: int) -> str:
     rng = SplitMix64(seed)
-    with_symmetry = without = 0
+    with_symmetry = 0
     for i in range(100):
         kind = i % 4
         if kind == 0:
@@ -244,10 +241,8 @@ def _check_symmetry(seed: int) -> str:
                 f"instance {i}: symmetry detection disagrees with the pairwise oracle")
         require(msr(sys_, partition_from_labels(sys_)).pairs() == relation,
                 f"instance {i}: coarsest congruence differs from the pairwise oracle")
-        if found:
-            with_symmetry += 1
-        else:
-            without += 1
+        with_symmetry += found
+    without = 100 - with_symmetry
     require(with_symmetry >= 20 and without >= 20, "sample too one-sided")
     return (f"100 systems ({with_symmetry} symmetric, {without} chiral), "
             "engine agrees with the pairwise oracle")

@@ -19,7 +19,7 @@ from .core import (
     is_minimally_distinguishing,
     is_strongly_connected,
 )
-from .coupling import are_bisimilar, couple, is_surpriseless
+from .coupling import are_bisimilar, couple, has_nontrivial_autobisimulation, is_surpriseless
 from .envs import ArmSpec, make_arm, make_cycle, make_line, make_random
 from .fileio import (
     parse_dts,
@@ -82,7 +82,7 @@ def _cmd_check(args) -> int:
     elif args.prop == "pointed":
         holds = bool(pointed_classes(partition_from_labels(sys_)))
     else:  # chiral
-        holds = msr(sys_, partition_from_labels(sys_)).is_identity
+        holds = not has_nontrivial_autobisimulation(sys_)
     print(f"{args.prop}: {'true' if holds else 'false'}")
     return 0 if holds else 1
 

@@ -3,10 +3,15 @@
 States, actions and sensor labels are dense integer indices; names live in
 side tables. All types are immutable after construction and all operations
 are pure functions, so values can be shared freely between threads.
+
+An id or a count is anything ``operator.index`` accepts, numpy integers
+included; anything else, and any id out of range, raises ``InputError``.
+Every module checks its arguments through ``_index`` and ``_ids`` here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 
@@ -34,6 +39,25 @@ def require(holds: bool, message: str):
     """Raise ``CheckError`` unless ``holds``; unlike ``assert``, never stripped by ``-O``."""
     if not holds:
         raise CheckError(message)
+
+
+def _index(value, what: str, bound: int | None = None) -> int:
+    """``value`` as an int, and in ``0..bound-1`` if ``bound`` is given; else ``InputError``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    if bound is not None and not 0 <= value < bound:
+        raise InputError(f"{what} {value} is out of range")
+    return value
+
+
+def _ids(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, by ``operator.index``; else ``InputError``."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InputError(f"{what} must be integers") from None
 
 
 def intern_names(keys) -> tuple[tuple[int, ...], tuple]:
@@ -81,14 +105,13 @@ class TransitionSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "action_names", tuple(self.action_names))
-        object.__setattr__(self, "delta", tuple(tuple(int(t) for t in row) for row in self.delta))
+        object.__setattr__(self, "delta", tuple(_ids(row, "delta entries") for row in self.delta))
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
+            object.__setattr__(self, "labels", _ids(self.labels, "labels"))
         if self.label_names is not None:
             object.__setattr__(self, "label_names", tuple(self.label_names))
-        self._validate()
-
-    def _validate(self):
+        if self.initial is not None:
+            object.__setattr__(self, "initial", _index(self.initial, "initial state", self.n_states))
         if self.n_states < 1:
             raise InputError("a transition system needs at least one state")
         if self.n_actions < 1:
@@ -122,8 +145,6 @@ class TransitionSystem:
                     "label ids must run over all label names in first-occurrence order; "
                     "use TransitionSystem.from_tables with per-state names"
                 )
-        if self.initial is not None and not 0 <= self.initial < self.n_states:
-            raise InputError(f"initial state {self.initial} is out of range")
 
     @classmethod
     def from_tables(
@@ -134,15 +155,12 @@ class TransitionSystem:
         initial: int | None = None,
     ) -> "TransitionSystem":
         """Build a system from a delta table and per-state label names."""
-        n_states = len(delta)
-        n_actions = len(action_names)
         labels = label_names = None
         if state_labels is not None:
-            if len(state_labels) != n_states:
+            if len(state_labels) != len(delta):
                 raise InputError("state_labels must name one label per state")
-            labels, label_names = intern_names(list(state_labels))
-        return cls(n_states, n_actions, tuple(action_names), tuple(tuple(r) for r in delta),
-                   labels, label_names, initial)
+            labels, label_names = intern_names(state_labels)
+        return cls(len(delta), len(action_names), action_names, delta, labels, label_names, initial)
 
     @property
     def n_labels(self) -> int:
@@ -151,7 +169,7 @@ class TransitionSystem:
     def label_name_of(self, s: int) -> str:
         if self.labels is None:
             raise InputError("system is unlabeled")
-        return self.label_names[self.labels[s]]
+        return self.label_names[self.labels[_index(s, "state", self.n_states)]]
 
     def unlabeled(self) -> "TransitionSystem":
         """A copy with the sensor map removed."""
@@ -167,7 +185,7 @@ class StateMap:
     map: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(int(t) for t in self.map))
+        object.__setattr__(self, "map", _ids(self.map, "map entries"))
         if len(self.map) != self.source_size:
             raise InputError("map must assign a target to every source state")
         for s, t in enumerate(self.map):
@@ -175,7 +193,7 @@ class StateMap:
                 raise InputError(f"map({s})={t} is out of range")
 
     def __call__(self, s: int) -> int:
-        return self.map[s]
+        return self.map[_index(s, "state", self.source_size)]
 
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target_size
@@ -198,13 +216,9 @@ class StateMap:
 
 def star(sys: TransitionSystem, s: int, seq) -> int:
     """Run an action sequence from a state and return the state reached."""
-    if not 0 <= s < sys.n_states:
-        raise InputError(f"state {s} is out of range")
-    cur = s
+    cur = _index(s, "state", sys.n_states)
     for a in seq:
-        if not 0 <= a < sys.n_actions:
-            raise InputError(f"action {a} is out of range")
-        cur = sys.delta[cur][a]
+        cur = sys.delta[cur][_index(a, "action", sys.n_actions)]
     return cur
 
 
@@ -263,8 +277,7 @@ def canonical_form(sys: TransitionSystem, anchor: int) -> tuple[TransitionSystem
     state order. Raises NotConnectedError if some state is unreachable.
     Returns the relabeled system and the old-to-new state map.
     """
-    if not 0 <= anchor < sys.n_states:
-        raise InputError(f"anchor {anchor} is out of range")
+    anchor = _index(anchor, "anchor", sys.n_states)
     bfs = _bfs_order(sys.delta, anchor)
     order = [-1] * sys.n_states
     for new, s in enumerate(bfs):
@@ -273,12 +286,9 @@ def canonical_form(sys: TransitionSystem, anchor: int) -> tuple[TransitionSystem
         missing = order.index(-1)
         raise NotConnectedError(f"state {missing} is unreachable from anchor {anchor}")
     new_delta = tuple(tuple(order[sys.delta[s][a]] for a in range(sys.n_actions)) for s in bfs)
-    labels = label_names = None
-    if sys.labels is not None:
-        labels, label_names = intern_names([sys.label_names[sys.labels[s]] for s in bfs])
+    names = None if sys.labels is None else [sys.label_names[sys.labels[s]] for s in bfs]
     initial = None if sys.initial is None else order[sys.initial]
-    out = TransitionSystem(sys.n_states, sys.n_actions, sys.action_names, new_delta,
-                           labels, label_names, initial)
+    out = TransitionSystem.from_tables(sys.action_names, new_delta, names, initial)
     return out, StateMap(sys.n_states, sys.n_states, tuple(order))
 
 
@@ -306,13 +316,14 @@ def are_isomorphic(
     """
     if a.action_names != b.action_names:
         raise InputError("action alphabets differ")
+    if anchored:
+        sa = a.initial if anchor_a is None else _index(anchor_a, "anchor", a.n_states)
+        sb = b.initial if anchor_b is None else _index(anchor_b, "anchor", b.n_states)
+        if sa is None or sb is None:
+            raise InputError("anchored comparison needs initial states or explicit anchors")
     if a.n_states != b.n_states:
         return False, None
     if anchored:
-        sa = a.initial if anchor_a is None else anchor_a
-        sb = b.initial if anchor_b is None else anchor_b
-        if sa is None or sb is None:
-            raise InputError("anchored comparison needs initial states or explicit anchors")
         ca, ma = canonical_form(a, sa)
         cb, mb = canonical_form(b, sb)
         if _structure_key(ca) != _structure_key(cb):

@@ -10,7 +10,6 @@ exploratory: their transitions read the action, never the sensor value.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     PreconditionError,
     StateMap,
     TransitionSystem,
+    _index,
     intern_names,
 )
 from .partitions import _refine, msr, partition_from_labels
@@ -59,19 +59,14 @@ def couple(env: TransitionSystem, internal: TransitionSystem,
         raise InputError("the environment must be labeled")
     if env.action_names != internal.action_names:
         raise InputError("action alphabets differ")
-    if not 0 <= x0 < env.n_states:
-        raise InputError(f"environment state {x0} is out of range")
-    if not 0 <= i0 < internal.n_states:
-        raise InputError(f"internal state {i0} is out of range")
+    x0 = _index(x0, "environment state", env.n_states)
+    i0 = _index(i0, "internal state", internal.n_states)
     index = {(x0, i0): 0}
     pairs = [(x0, i0)]
     parent_pair = [-1]
     parent_action = [-1]
     rows: list[tuple[int, ...]] = []
-    queue = deque([0])
-    while queue:
-        p = queue.popleft()
-        x, i = pairs[p]
+    for p, (x, i) in enumerate(pairs):  # pairs grows as the BFS discovers them
         row = []
         for a in range(env.n_actions):
             nxt = (env.delta[x][a], internal.delta[i][a])
@@ -81,7 +76,6 @@ def couple(env: TransitionSystem, internal: TransitionSystem,
                 pairs.append(nxt)
                 parent_pair.append(p)
                 parent_action.append(a)
-                queue.append(q)
             row.append(q)
         rows.append(tuple(row))
     return ProductSystem(env, internal, x0, i0, tuple(pairs), tuple(rows),
@@ -92,9 +86,7 @@ def diamond(prod: ProductSystem, seq) -> tuple[int, int]:
     """Run an action sequence through the coupling from the initial pair."""
     p = 0
     for a in seq:
-        if not 0 <= a < prod.env.n_actions:
-            raise InputError(f"action {a} is out of range")
-        p = prod.pair_delta[p][a]
+        p = prod.pair_delta[p][_index(a, "action", prod.env.n_actions)]
     return prod.pairs[p]
 
 
@@ -231,10 +223,8 @@ def are_bisimilar(env: TransitionSystem, internal: TransitionSystem,
     without building the relation.
     """
     _check_bisimulation_inputs(env, internal)
-    if not 0 <= x0 < env.n_states:
-        raise InputError(f"environment state {x0} is out of range")
-    if not 0 <= i0 < internal.n_states:
-        raise InputError(f"internal state {i0} is out of range")
+    x0 = _index(x0, "environment state", env.n_states)
+    i0 = _index(i0, "internal state", internal.n_states)
     block = _union_blocks(env, internal)
     return block[x0] == block[env.n_states + i0]
 

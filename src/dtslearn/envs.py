@@ -7,7 +7,6 @@ so seeds reproduce across implementations.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -19,6 +18,8 @@ from .core import (
     NotConnectedError,
     TransitionSystem,
     _bfs_order,
+    _ids,
+    _index,
 )
 
 MAX_STATES = 100_000
@@ -32,13 +33,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 class GenerationError(DtsError):
     """Random generation exhausted its rejection budget."""
-
-
-def _whole_number(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _mix(z):
@@ -56,7 +50,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self.state = _whole_number(seed, "the seed") & _MASK
+        self.state = _index(seed, "the seed") & _MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK
@@ -64,6 +58,9 @@ class SplitMix64:
 
     def next_u64s(self, count: int) -> np.ndarray:
         """The next ``count`` outputs as a ``uint64`` array, as ``next_u64`` would give them."""
+        count = _index(count, "the count")
+        if count < 0:
+            raise InputError("next_u64s() needs a non-negative count")
         steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         out = _mix(np.uint64(self.state) + steps)
         self.state = (self.state + count * _GAMMA) & _MASK
@@ -71,6 +68,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Draw from 0..n-1 by reduction of one 64-bit output."""
+        n = _index(n, "the bound")
         if n < 1:
             raise InputError("below() needs a positive bound")
         return self.next_u64() % n
@@ -82,6 +80,7 @@ def make_line(n: int) -> TransitionSystem:
     The left end carries the only distinguished sensor value; both ends
     absorb the move pointing off the line.
     """
+    n = _index(n, "the state count")
     if n < 2:
         raise InputError("a line needs at least 2 states")
     if n > MAX_STATES:
@@ -93,6 +92,7 @@ def make_line(n: int) -> TransitionSystem:
 
 def make_cycle(n: int, pointed: bool = True) -> TransitionSystem:
     """A rotation cycle of ``n`` states; state 0 clicks when ``pointed``."""
+    n = _index(n, "the state count")
     if n < 2:
         raise InputError("a cycle needs at least 2 states")
     if n > MAX_STATES:
@@ -121,8 +121,11 @@ class ArmSpec:
     click: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "obstacles", frozenset(tuple(o) for o in self.obstacles))
-        object.__setattr__(self, "click", tuple(self.click))
+        for name in ("joints", "resolution"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+        object.__setattr__(self, "obstacles",
+                           frozenset(_ids(o, "joint positions") for o in self.obstacles))
+        object.__setattr__(self, "click", _ids(self.click, "joint positions"))
         if self.joints < 1:
             raise InputError("an arm needs at least one joint")
         if self.resolution < 3:
@@ -150,20 +153,15 @@ def make_arm(spec: ArmSpec) -> TransitionSystem:
     if len(free) > MAX_STATES:
         raise InputError(f"refusing to build more than {MAX_STATES} states")
     index = {conf: i for i, conf in enumerate(free)}
-    action_names = []
-    moves = []
-    for j in range(spec.joints):
-        for step in (1, -1):
-            action_names.append(f"j{j}{'+' if step > 0 else '-'}")
-            moves.append((j, step))
+    moves = [(j, step) for j in range(spec.joints) for step in (1, -1)]
+    action_names = [f"j{j}{'+' if step > 0 else '-'}" for j, step in moves]
     delta = []
     for conf in free:
         row = []
         for j, step in moves:
             target = list(conf)
             target[j] = (target[j] + step) % spec.resolution
-            target = tuple(target)
-            row.append(index.get(target, index[conf]))
+            row.append(index.get(tuple(target), index[conf]))
         delta.append(row)
     labels = ["click" if conf == spec.click else "blank" for conf in free]
     sys = TransitionSystem.from_tables(action_names, delta, labels,
@@ -237,8 +235,8 @@ def make_random(n: int, m: int, seed: int,
     system gives state 0 the only "click"; otherwise the next ``n`` outputs
     give each state one of two values, by parity.
     """
-    n = _whole_number(n, "the state count")
-    m = _whole_number(m, "the action count")
+    n = _index(n, "the state count")
+    m = _index(m, "the action count")
     if n < 1 or m < 1:
         raise InputError("need at least one state and one action")
     if n > MAX_STATES:

@@ -18,7 +18,7 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
-from .core import DtsError, InputError, TransitionSystem
+from .core import DtsError, InputError, TransitionSystem, _index
 from .partitions import Partition
 
 
@@ -160,6 +160,8 @@ def write_partition(part: Partition) -> str:
 
 def parse_obstacles(text: str, joints: int, resolution: int) -> frozenset[tuple[int, ...]]:
     """One forbidden configuration per line, space-separated joint positions."""
+    joints = _index(joints, "joints")
+    resolution = _index(resolution, "resolution")
     out = set()
     for line_no, tokens in _content_lines(text):
         if len(tokens) != joints:

@@ -27,12 +27,13 @@ import numpy as np
 from .core import (
     InputError,
     TransitionSystem,
+    _index,
     canonical_form,
     are_isomorphic,
     require,
 )
 from .coupling import couple, is_surpriseless, are_bisimilar
-from .envs import SplitMix64, _whole_number
+from .envs import SplitMix64
 from .partitions import Partition
 
 EXPLORE_NODE_BUDGET = 1 << 25
@@ -60,12 +61,10 @@ class EnvOracle:
     def __init__(self, env: TransitionSystem, x0: int):
         if env.labels is None:
             raise InputError("the environment must be labeled")
-        if not 0 <= x0 < env.n_states:
-            raise InputError(f"state {x0} is out of range")
+        self._x0 = _index(x0, "the initial state", env.n_states)
         self._delta = np.asarray(env.delta, dtype=np.int64).reshape(-1)  # row-major: cur*m + a
         self._labels = np.asarray(env.labels, dtype=np.int32)
-        self._x0 = x0
-        self._cur = np.empty(0, dtype=np.int64)
+        self._cur = None  # no sessions until start
         self.n_actions = env.n_actions
         self.action_names = env.action_names
         self.label_names = env.label_names
@@ -82,12 +81,17 @@ class EnvOracle:
 
     def start(self, sessions: int) -> np.ndarray:
         """Begin ``sessions`` parallel runs; returns the initial sensor values."""
+        sessions = _index(sessions, "the session count")
+        if sessions < 0:
+            raise InputError("start() needs a non-negative session count")
         self._cur = np.full(sessions, self._x0, dtype=np.int64)
         self.resets += sessions
         return self._labels[self._cur]
 
     def step(self, actions) -> np.ndarray:
         """Apply one action per session (scalar broadcasts); returns sensor values."""
+        if self._cur is None:
+            raise InputError("step() before any start()")
         acts = self._check_actions(actions)
         if acts.shape not in ((), self._cur.shape):
             raise InputError(f"{acts.size} actions given for {self._cur.size} sessions")
@@ -106,12 +110,10 @@ class EnvOracle:
 
 def _as_oracle(env, x0: int | None) -> EnvOracle:
     if isinstance(env, EnvOracle):
+        if x0 is not None:
+            raise InputError("an oracle starts at its own state; pass x0=None")
         return env
-    if x0 is None:
-        x0 = env.initial
-    if x0 is None:
-        raise InputError("no initial state given and the environment carries none")
-    return EnvOracle(env, x0)
+    return EnvOracle(env, env.initial if x0 is None else x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,24 +147,21 @@ class HistoryTrie:
         return self.offsets[-1]
 
     def level_of(self, node: int) -> int:
-        if not 0 <= node < self.node_count:
-            raise InputError(f"node {node} is out of range")
-        return bisect_right(self.offsets, node) - 1
+        return bisect_right(self.offsets, _index(node, "node", self.node_count)) - 1
 
     def observation(self, node: int) -> int:
         d = self.level_of(node)
         return int(self.levels[d][node - self.offsets[d]])
 
     def child(self, node: int, action: int) -> int:
+        node = _index(node, "node", self.node_count)
         if self.level_of(node) == self.depth:
             raise InputError(f"node {node} is a leaf")
-        if not 0 <= action < self.n_actions:
-            raise InputError(f"action {action} is out of range")
-        return self.n_actions * node + 1 + action
+        return self.n_actions * node + 1 + _index(action, "action", self.n_actions)
 
     def parent(self, node: int) -> tuple[int, int] | None:
         """The parent node and the action leading here; None at the root."""
-        self.level_of(node)  # range check
+        node = _index(node, "node", self.node_count)
         return None if node == 0 else divmod(node - 1, self.n_actions)
 
     def node_at(self, word) -> int:
@@ -172,7 +171,7 @@ class HistoryTrie:
         return node
 
     def word_of(self, node: int) -> tuple[int, ...]:
-        self.level_of(node)  # range check
+        node = _index(node, "node", self.node_count)
         out = []
         while node:
             node, a = divmod(node - 1, self.n_actions)
@@ -188,6 +187,7 @@ def explore(env, x0: int | None, depth: int) -> HistoryTrie:
     along the way.
     """
     oracle = _as_oracle(env, x0)
+    depth = _index(depth, "depth")
     if depth < 0:
         raise InputError("depth must be non-negative")
     m = oracle.n_actions
@@ -217,8 +217,7 @@ def bounded_indistinguishability(trie: HistoryTrie, horizon: int) -> Partition:
     ``depth - horizon`` share a class iff no continuation word of length up
     to the horizon separates them. Classes are numbered by first occurrence.
     """
-    if not 0 <= horizon <= trie.depth:
-        raise InputError("horizon must lie between 0 and the trie depth")
+    horizon = _index(horizon, "horizon", trie.depth + 1)
     m = trie.n_actions
     cls = np.concatenate(trie.levels).astype(np.int64)
     # Ids are ranks below the node count (at most EXPLORE_NODE_BUDGET = 2^25)
@@ -254,6 +253,7 @@ def build_model(trie: HistoryTrie, horizon: int) -> tuple[TransitionSystem | Non
     the report says whether the member choice ever mattered (consistency)
     and whether every reachable class is a state (closedness).
     """
+    horizon = _index(horizon, "horizon")
     if horizon < 1:
         raise InputError("model building needs a horizon of at least 1")
     part = bounded_indistinguishability(trie, horizon)
@@ -519,8 +519,8 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
     an ``InputError``. Returns the stabilized model in canonical form, or the
     last candidate (possibly None), with each depth's oracle calls and time.
     """
-    max_depth = _whole_number(max_depth, "max_depth")
-    min_depth = _whole_number(min_depth, "min_depth")
+    max_depth = _index(max_depth, "max_depth")
+    min_depth = _index(min_depth, "min_depth")
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
     oracle = _as_oracle(env, x0)

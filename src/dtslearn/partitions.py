@@ -20,6 +20,8 @@ from .core import (
     StateMap,
     TransitionSystem,
     _first_occurrence_count,
+    _ids,
+    _index,
     intern_names,
     require,
 )
@@ -34,7 +36,7 @@ class Partition:
     block_of: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "block_of", tuple(int(b) for b in self.block_of))
+        object.__setattr__(self, "block_of", _ids(self.block_of, "block ids"))
         if self.n_states < 1 or len(self.block_of) != self.n_states:
             raise InputError("block_of must assign a block to every state")
         # canonical numbering: the k-th distinct id, scanning states upward, is k
@@ -52,11 +54,11 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, n_states: int, blocks) -> "Partition":
+        n_states = _index(n_states, "n_states")
         assign: dict[int, int] = {}
         for i, block in enumerate(blocks):
             for s in block:
-                if not 0 <= s < n_states:
-                    raise InputError(f"state {s} is out of range")
+                s = _index(s, "state", n_states)
                 if s in assign:
                     raise InputError(f"state {s} appears in two blocks")
                 assign[s] = i
@@ -67,10 +69,12 @@ class Partition:
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
+        n = _index(n, "n")
         return cls(n, n, tuple(range(n)))
 
     @classmethod
     def single_block(cls, n: int) -> "Partition":
+        n = _index(n, "n")
         return cls(n, 1, (0,) * n)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -80,7 +84,8 @@ class Partition:
         return tuple(tuple(block) for block in out)
 
     def together(self, s: int, t: int) -> bool:
-        return self.block_of[s] == self.block_of[t]
+        return (self.block_of[_index(s, "state", self.n_states)]
+                == self.block_of[_index(t, "state", self.n_states)])
 
     @property
     def is_identity(self) -> bool:
@@ -140,11 +145,10 @@ def fiber_partition(m: StateMap) -> Partition:
 
 def generated_closure(n: int, pairs) -> Partition:
     """Finest equivalence relation on ``0..n-1`` containing all given pairs."""
+    n = _index(n, "n")
     uf = _UnionFind(n)
     for s, t in pairs:
-        if not (0 <= s < n and 0 <= t < n):
-            raise InputError(f"pair ({s},{t}) is out of range")
-        uf.union(s, t)
+        uf.union(_index(s, "state", n), _index(t, "state", n))
     return Partition.from_block_of([uf.find(s) for s in range(n)])
 
 
@@ -171,8 +175,7 @@ def is_refinement(fine: Partition, coarse: Partition) -> bool:
     if fine.n_states != coarse.n_states:
         raise InputError("partitions are over different state sets")
     image: dict[int, int] = {}
-    for s in range(fine.n_states):
-        fb, cb = fine.block_of[s], coarse.block_of[s]
+    for fb, cb in zip(fine.block_of, coarse.block_of):
         if image.setdefault(fb, cb) != cb:
             return False
     return True

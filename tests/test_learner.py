@@ -470,6 +470,26 @@ class TestOracle:
         assert oracle.step(np.array([1, 1, 0])).tolist() == [1, 1, 0]
         assert oracle.steps == 3
 
+    def test_step_before_start_is_refused_and_counts_nothing(self):
+        oracle = EnvOracle(make_line(4), 0)
+        for actions in (1, np.array([1, 0])):
+            with pytest.raises(InputError, match="start"):
+                oracle.step(actions)
+        assert (oracle.resets, oracle.steps) == (0, 0)
+        oracle.start(2)
+        assert oracle.step(np.array([1, 0])).tolist() == [1, 0]
+
+    def test_an_oracle_refuses_a_start_state(self):
+        # the oracle's hidden start state is fixed; an x0 next to it would be ignored
+        oracle = EnvOracle(make_line(4), 0)
+        with pytest.raises(InputError, match="x0"):
+            learn(oracle, 3, 8)
+        with pytest.raises(InputError, match="x0"):
+            explore(oracle, 3, 2)
+        assert (oracle.resets, oracle.steps) == (0, 0)
+        model, report = learn(oracle, None, 12)
+        assert report.converged and model.n_states == 4
+
     def test_exploration_costs_one_walk_per_leaf(self):
         env = make_line(4)
         oracle = EnvOracle(env, 0)
