@@ -237,7 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int)
     p.add_argument("--max-depth", type=int, required=True)
     p.add_argument("--min-depth", type=int, default=2,
-                   help="refuse convergence claims below this depth; 2n is exact for n states")
+                   help="4 or more: N = min-depth // 2 bounds the environment's states, and "
+                        "learning stops at the first depth whose model a W-method suite "
+                        "certifies for every environment of at most N states; 2 or 3: stop "
+                        "when two successive depths agree, the first at min-depth or deeper")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_learn)
 

@@ -104,6 +104,8 @@ class TransitionSystem:
     initial: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_states", _index(self.n_states, "n_states"))
+        object.__setattr__(self, "n_actions", _index(self.n_actions, "n_actions"))
         object.__setattr__(self, "action_names", tuple(self.action_names))
         object.__setattr__(self, "delta", tuple(_ids(row, "delta entries") for row in self.delta))
         if self.labels is not None:
@@ -185,6 +187,8 @@ class StateMap:
     map: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "source_size", _index(self.source_size, "source_size"))
+        object.__setattr__(self, "target_size", _index(self.target_size, "target_size"))
         object.__setattr__(self, "map", _ids(self.map, "map entries"))
         if len(self.map) != self.source_size:
             raise InputError("map must assign a target to every source state")

@@ -5,7 +5,9 @@ session at the hidden initial state, apply actions, read sensor values);
 it never sees states or the transition table. Words that no continuation
 tells apart are merged, and the merged classes form a candidate model of
 the environment. Deepening until two successive candidates agree yields,
-for well-behaved environments, a model isomorphic to the environment.
+for well-behaved environments, a model isomorphic to the environment. Given
+a bound on the environment's states, a W-method test suite instead proves a
+candidate exact, and learning stops at the first depth it does.
 
 Each depth's candidate comes from an L*/L#-style observation table over one
 observation tree shared by all depths: suffixes are added only where two
@@ -17,9 +19,12 @@ nodes are split over a horizon, which is exact and cheaper at that size.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, cycle, islice, product
+from itertools import accumulate, product
 from time import perf_counter
 
 import numpy as np
@@ -30,15 +35,16 @@ from .core import (
     _index,
     canonical_form,
     are_isomorphic,
+    intern_names,
     require,
 )
 from .coupling import couple, is_surpriseless, are_bisimilar
 from .envs import SplitMix64
-from .partitions import Partition
+from .partitions import Partition, msr, partition_from_labels, quotient
 
 EXPLORE_NODE_BUDGET = 1 << 25
 TABLE_SUITE_SIZE = 32  # test suffixes per depth once there are more words of horizon length
-TABLE_TEST_WORDS = 1 << 13  # most words of length min_depth // 2 - 1 a depth floor may ask for
+SUITE_WORDS = 1 << 16  # most words one certificate suite may ask for
 TRIE_NODES = 1 << 14  # a complete trie this small is cheaper to explore than a table build
 
 
@@ -199,7 +205,8 @@ def explore(env, x0: int | None, depth: int) -> HistoryTrie:
     levels = [obs[::sessions].copy()]
     for t in range(depth):
         stride = m ** (depth - 1 - t)
-        actions = (np.arange(sessions) // stride) % m
+        # session i takes action (i // stride) % m: runs of stride, m^t times over
+        actions = np.tile(np.arange(m).repeat(stride), m ** t)
         obs = oracle.step(actions)
         levels.append(obs[::stride].copy())
     return HistoryTrie(m, depth, oracle.action_names, oracle.label_names, tuple(levels))
@@ -331,6 +338,25 @@ class _ObservationTable:
         self.known, self.reps, self.rep_len, self.expanded = {}, [1], [0], 0
         self.kids, self.targets, self.succ_rows = [], [], []
 
+    def _child(self, cur, act, live=True) -> np.ndarray:
+        """The child of each node under its action, added as a placeholder where missing and live."""
+        kid = self.tree[cur, act]
+        new = live & (kid == 0)
+        if new.any():
+            # sorted and deduplicated by hand: np.unique is several times slower
+            # on these arrays and loads numpy.ma, 2 MiB, on its first call
+            keys = np.sort(cur[new] * self.m + act[new])
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            ids = np.arange(self.size, self.size + len(keys))
+            self.size += len(keys)
+            if self.size > len(self.tree):  # grow by copies of the blank node 0
+                blank = np.broadcast_to(self.tree[0], (self.size, self.m + 2))
+                self.tree = np.concatenate([self.tree, blank])
+            self.tree[keys // self.m, keys % self.m] = ids
+            self.tree[ids, self.m + 1] = keys
+            kid = self.tree[cur, act]
+        return kid
+
     def _observe(self, starts, acts, lens) -> np.ndarray:
         """The sensor value after each start then its padded row of ``acts``, asking for new words.
 
@@ -339,20 +365,8 @@ class _ObservationTable:
         shape = np.broadcast_shapes(starts.shape, lens.shape)
         cur = np.broadcast_to(starts, shape)
         for t in range(acts.shape[1]):
-            act = np.broadcast_to(acts[:, t], shape)
-            kid, live = self.tree[cur, act], lens > t
-            new = live & (kid == 0)
-            if new.any():
-                keys = np.unique(cur[new] * self.m + act[new])
-                ids = np.arange(self.size, self.size + len(keys))
-                self.size += len(keys)
-                if self.size > len(self.tree):  # grow by copies of the blank node 0
-                    blank = np.broadcast_to(self.tree[0], (self.size, self.m + 2))
-                    self.tree = np.concatenate([self.tree, blank])
-                self.tree[keys // self.m, keys % self.m] = ids
-                self.tree[ids, self.m + 1] = keys
-                kid = self.tree[cur, act]
-            cur = np.where(live, kid, cur)
+            live = lens > t
+            cur = np.where(live, self._child(cur, np.broadcast_to(acts[:, t], shape), live), cur)
         if self.asked < self.size:
             self._ask()
         return self.tree[cur, self.m]
@@ -368,7 +382,7 @@ class _ObservationTable:
             v = tree[v, m + 1] // m
         path = np.array(path)
         back, length = tree[path, m + 1] % m, (path > 1).sum(0)  # actions into them; lengths
-        for n in np.unique(length).tolist():
+        for n in sorted(set(length.tolist())):
             group = length == n
             tree[1, m] = self.oracle.start(int(group.sum()))[0]
             for a, v in zip(back[:n][::-1, group], path[:n][::-1, group]):
@@ -393,25 +407,24 @@ class _ObservationTable:
             self.kids += kids
             self.succ_rows.append(rows)
 
-    def build(self, depth: int, horizon: int, min_depth: int,
+    def build(self, depth: int, horizon: int, count: int,
               ) -> tuple[TransitionSystem | None, BuildReport]:
         """Close, make consistent and test the table; the hypothesis on the shallow words.
 
-        Tests are words of the horizon's length whose prefixes run through every
-        word of length ``min_depth // 2 - 1``, which separate the states of an
-        environment of up to ``min_depth // 2`` states; the rest is sampled.
+        The tests are every word of the horizon's length if there are at most
+        ``count``, else ``count`` of them drawn from a stream seeded with the
+        depth, so a hypothesis that passes is not proved exact. Under a state
+        bound ``count`` is 0: ``certify`` checks the hypothesis instead, and
+        ``refute`` hands a failing word back.
         """
         max_len = depth - horizon - 1  # same shallowness rule as the trie build
         m, actions = self.m, self.oracle.action_names
-        complete = max(min(depth, min_depth) // 2 - 1, 0)
-        count = max(TABLE_SUITE_SIZE, m ** complete)
         if m ** horizon <= count:
             tests = np.array(list(product(range(m), repeat=horizon)), dtype=np.int64)
-        else:  # the tails depend on the depth alone
-            heads = np.array(list(islice(cycle(product(range(m), repeat=complete)), count)),
-                             dtype=np.int64)
-            tail = SplitMix64(depth).next_u64s(count * (horizon - complete)) % np.uint64(m)
-            tests = np.hstack([heads, tail.astype(np.int64).reshape(count, -1)])
+        else:
+            draws = SplitMix64(depth).next_u64s(count * horizon) % np.uint64(m)
+            tests = draws.astype(np.int64).reshape(count, horizon)
+        lens = np.full(len(tests), horizon)
         while True:
             self._expand(max_len)
             n = self.expanded
@@ -434,40 +447,143 @@ class _ObservationTable:
             else:
                 cover = np.concatenate([reps, kids, self.tree[kids[split], :m].ravel()])
                 states = np.concatenate([np.arange(n), targets, delta[targets[split]].ravel()])
-                suffix = self._counterexample(cover, states, tests, reps, delta)
-                if suffix is None:
+                word = self._mismatch(cover, states, tests, lens, delta, self.tree[reps, m])
+                if word is None:
                     break
+                suffix = self._counterexample(word, reps, delta)
             self.suffixes.append(suffix)
             self._reset()
+        self.hypothesis = reps, delta
         names = [self.oracle.label_names[label] for label in self.tree[reps, self.m]]
         model = TransitionSystem.from_tables(actions, delta.tolist(), names, initial=0)
         return model, BuildReport(True, True, True, len(self.reps), n)
 
-    def _counterexample(self, cover, states, tests, reps, delta):
-        """A suffix splitting a row, from the first test prefix the hypothesis labels wrong.
+    def refute(self, word: tuple[int, ...]):
+        """Add the suffix of a word that the last built hypothesis labels wrong."""
+        self.suffixes.append(self._counterexample(word, *self.hypothesis))
+        self._reset()
+
+    def _word(self, v: int) -> tuple[int, ...]:
+        """The action word of tree node ``v``."""
+        w = ()
+        while v > 1:
+            v, a = divmod(int(self.tree[v, self.m + 1]), self.m)
+            w = (a,) + w
+        return w
+
+    def _mismatch(self, cover, states, tests, lens, delta, labels) -> tuple[int, ...] | None:
+        """The shortest word, a cover node then a prefix of a test, that the hypothesis labels wrong.
+
+        Cover node ``i`` is in hypothesis state ``states[i]``; test ``k`` is the
+        first ``lens[k]`` actions of row ``k`` of ``tests``. Every cover node
+        takes every test, and all of them are asked first.
+        """
+        self._observe(cover[:, None], tests, lens)
+        node, state = cover[:, None], states[:, None]
+        for j in range(tests.shape[1] + 1):
+            bad = (self.tree[node, self.m] != labels[state]) & (lens >= j)
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
+                return self._word(cover[i]) + tuple(tests[k, :j].tolist())
+            if j < tests.shape[1]:
+                node, state = self.tree[node, tests[:, j]], delta[state, tests[:, j]]
+        return None
+
+    def _counterexample(self, w, reps, delta) -> tuple[int, ...]:
+        """A suffix splitting a row, from a word the hypothesis labels wrong.
 
         As in Rivest & Schapire, with ``acc(x)`` the representative reached by
         ``x``, some ``i`` has ``obs(acc(w[:i]) w[i:]) != obs(acc(w[:i+1]) w[i+1:])``.
         """
-        self._observe(cover[:, None], tests, np.full(len(tests), tests.shape[1]))  # ask all tests
-        labels, node, state = self.tree[reps, self.m], cover[:, None], states[:, None]
-        for j in range(tests.shape[1]):
-            node, state = self.tree[node, tests[:, j]], delta[state, tests[:, j]]
-            bad = self.tree[node, self.m] != labels[state]
-            if bad.any():
-                i, k = np.argwhere(bad)[0]
-                v, w = int(cover[i]), tuple(tests[k, :j + 1].tolist())
-                while v > 1:  # spell the cover word out
-                    v, a = divmod(int(self.tree[v, self.m + 1]), self.m)
-                    w = (a,) + w
-                q = list(accumulate(w, lambda state, a: delta[state, a], initial=0))
-                seen = self._observe(reps[q], *_padded([w[i:] for i in range(len(w) + 1)]))
-                return w[next(i for i in range(len(w)) if seen[i] != seen[i + 1]) + 1:]
-        return None
+        q = list(accumulate(w, lambda state, a: delta[state, a], initial=0))
+        seen = self._observe(reps[q], *_padded([w[i:] for i in range(len(w) + 1)]))
+        return w[next(i for i in range(len(w)) if seen[i] != seen[i + 1]) + 1:]
+
+    def certify(self, model: TransitionSystem, bound: int, suffixes,
+                ) -> tuple[bool, tuple[int, ...] | None, str]:
+        """Replay the W-method suite of a minimal model for environments of at most ``bound`` states.
+
+        The suite is cover × Σ^{≤k} × W for the model's n states and k = bound - n.
+        The cover holds each state's breadth-first access word and its one-step
+        extensions; W is ``suffixes`` plus a shortest separating word for each
+        pair of states they leave together, so it characterizes the model. The
+        suite runs one Σ layer at a time and stops at the first word the model
+        labels wrong. Passing it proves, by Chow's theorem, that an environment of
+        at most ``bound`` states has the model as its minimal quotient. Returns
+        whether it passed, the failing word if one was found, and a detail line;
+        a suite of more than ``SUITE_WORDS`` words is not run to its end.
+        """
+        n, m = model.n_states, self.m
+        if n > bound:
+            return False, None, f"not certified: more than {bound} states"
+        delta = np.array(model.delta, dtype=np.int64)
+        names = self.oracle.label_names
+        labels = np.array([names.index(model.label_names[label]) for label in model.labels])
+        flat, ext = delta.ravel().tolist(), np.zeros((n, m), dtype=np.int64)
+        for s in range(n):  # breadth-first numbering: a state is first entered from an earlier one
+            ext[s] = self._child(np.full(m, ext.flat[flat.index(s)] if s else 1), np.arange(m))
+        cover = np.concatenate([[1], ext.ravel()])
+        states = np.concatenate([[0], delta.ravel()])
+        words, wlen = _padded(_characterizing(model, suffixes))
+        asked = 0
+        for j in range(bound - n + 1):
+            count = len(cover) * m ** j * len(words)
+            if asked + count > SUITE_WORDS:
+                return False, None, (f"not certified: the suite outgrows {SUITE_WORDS} words "
+                                     f"at Σ^{j}")
+            mid = np.array(list(product(range(m), repeat=j)), dtype=np.int64).reshape(m ** j, j)
+            tests = np.hstack([np.repeat(mid, len(words), axis=0), np.tile(words, (len(mid), 1))])
+            word = self._mismatch(cover, states, tests, j + np.tile(wlen, len(mid)), delta, labels)
+            asked += count
+            if word is not None:
+                spelled = " ".join(self.oracle.action_names[a] for a in word)
+                return False, word, f"refuted by suite word [{spelled}]"
+        return True, None, f"certified by {asked} suite words"
+
+
+def _characterizing(model: TransitionSystem, suffixes) -> list[tuple[int, ...]]:
+    """``suffixes``, then a shortest separating word for each pair of states they leave together.
+
+    Two states are left together when every suffix shows the same labels from
+    both, step by step. A pair first told apart by Moore's ``j``-step
+    equivalence is separated by a word of length ``j``, found by following an
+    action whose successors were already apart at ``j - 1``. The model must be
+    minimal, so that every pair is told apart at some ``j``.
+    """
+    n, m, delta, labels = model.n_states, model.n_actions, model.delta, model.labels
+    levels = [labels]  # levels[j][s]: the class of s under j-step equivalence
+    while len(set(levels[-1])) < n:
+        prev = levels[-1]
+        levels.append(intern_names(tuple([prev[s]] + [prev[t] for t in delta[s]])
+                                   for s in range(n))[0])
+        require(len(set(levels[-1])) > len(set(prev)), "the model to certify is not minimal")
+
+    def trace(s, w):
+        out = [labels[s]]
+        for a in w:
+            s = delta[s][a]
+            out.append(labels[s])
+        return tuple(out)
+
+    words = list(suffixes)
+    keys = [tuple(trace(s, w) for w in words) for s in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            if keys[p] != keys[q]:
+                continue
+            w, s, t = (), p, q
+            for j in range(next(j for j, cls in enumerate(levels) if cls[p] != cls[q]) - 1, -1, -1):
+                a = next(a for a in range(m) if levels[j][delta[s][a]] != levels[j][delta[t][a]])
+                w, s, t = w + (a,), delta[s][a], delta[t][a]
+            words.append(w)
+            keys = [key + (trace(s, w),) for s, key in enumerate(keys)]
+    return words
 
 
 @dataclass(frozen=True)
 class DepthAttempt:
+    """One depth of a learning run: its candidate, or why there is none, and what it cost."""
+
     depth: int
     horizon: int
     method: str
@@ -479,24 +595,72 @@ class DepthAttempt:
     seconds: float
 
 
-@dataclass(frozen=True)
+class _Attempts(Sequence):
+    """A run's depth attempts as one array of numbers; each is made a ``DepthAttempt`` when read.
+
+    Callers keep reports by the thousand (a benchmark keeps every run's), and
+    the array holds an attempt in 64 bytes where its objects take about 170.
+    Details, which repeat from run to run, are interned.
+    """
+
+    __slots__ = ("_numbers", "_details")
+    _METHODS = ("trie", "table")
+
+    def __init__(self, attempts):
+        self._numbers = array("d", [x for att in attempts for x in (
+            att.depth, att.horizon, self._METHODS.index(att.method), att.ok, att.n_states,
+            att.resets, att.steps, att.seconds)])
+        self._details = tuple(sys.intern(att.detail) for att in attempts)
+
+    def __len__(self) -> int:
+        return len(self._details)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
+        depth, horizon, method, ok, n_states, resets, steps, seconds = self._numbers[8 * i:8 * i + 8]
+        return DepthAttempt(int(depth), int(horizon), self._METHODS[int(method)], bool(ok),
+                            int(n_states), self._details[i], int(resets), int(steps), seconds)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True, slots=True)
 class LearnReport:
-    """How a learning run went: schedule, convergence, and oracle budget."""
+    """How a learning run went: schedule, convergence, and oracle budget.
+
+    With a ``bound`` on the environment's states, converged means certified.
+    """
 
     converged: bool
     depth_converged: int | None
     depth_stopped: int
     oracle_resets: int
     oracle_steps: int
-    attempts: tuple[DepthAttempt, ...]
+    attempts: Sequence[DepthAttempt]
+    bound: int | None = None
 
     def summary(self) -> str:
         lines = []
         for att in self.attempts:
-            outcome = f"{att.n_states}-state model" if att.ok else att.detail
+            outcome = att.detail
+            if att.ok:
+                outcome = f"{att.n_states}-state model" + (f", {att.detail}" if att.detail else "")
             lines.append(f"depth {att.depth} (horizon {att.horizon}, {att.method}): {outcome} "
                          f"[{att.resets} resets, {att.steps} steps, {att.seconds:.3f} s]")
-        if self.converged:
+        if self.bound is not None:
+            states = f"for every environment of at most {self.bound} states"
+            lines.append(f"certified at depth {self.depth_converged} {states}" if self.converged
+                         else f"no certificate by depth {self.depth_stopped} {states}")
+        elif self.converged:
             lines.append(f"converged at depth {self.depth_converged} "
                          f"(confirmed at depth {self.depth_stopped})")
         else:
@@ -505,54 +669,88 @@ class LearnReport:
         return "\n".join(lines)
 
 
+def _minimized(model: TransitionSystem) -> TransitionSystem:
+    """A candidate's quotient by its coarsest label-respecting congruence, in canonical form."""
+    small, _ = quotient(model, msr(model, partition_from_labels(model)))
+    return canonical_form(small, small.initial)[0]
+
+
 def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
           ) -> tuple[TransitionSystem | None, LearnReport]:
-    """Deepen exploration until two successive candidate models agree.
+    """Deepen exploration until a candidate is certified, or two successive candidates agree.
 
     Runs depths 2, 4, ... up to ``max_depth`` with the horizon at half the
-    depth, and stops once the candidates of two successive depths have
-    identical canonical forms anchored at the root class. Agreement is a
-    heuristic: the candidate at depth ``D`` is exact once ``D`` reaches twice
-    the true model size, so callers who know a bound can raise ``min_depth``
-    to refuse shallower claims. The table's tests then hold every word of
-    length ``min_depth // 2 - 1``; more than ``TABLE_TEST_WORDS`` of them is
-    an ``InputError``. Returns the stabilized model in canonical form, or the
-    last candidate (possibly None), with each depth's oracle calls and time.
+    depth. With ``min_depth`` below 4 no bound is stated: the run stops once
+    the candidates of two successive depths, the first at ``min_depth`` or
+    deeper, have identical canonical forms anchored at the root class. That
+    agreement is a heuristic.
+
+    With ``min_depth`` 4 or more, ``N = min_depth // 2`` is the caller's bound
+    on the environment's states. Each depth's candidate is minimized and
+    checked by a W-method suite through the oracle (see
+    ``_ObservationTable.certify``), and the run stops at the first depth whose
+    suite passes: the model is then exact for every environment of at most N
+    states. A failing suite word refines the table, which builds again at the
+    same depth; the table runs no sampled tests then. Depths end at
+    ``2N + 2``, where the table can hold every state of such an environment,
+    or at a table depth of at least ``2n + 2`` for its ``n`` representatives
+    whose suite neither passes nor fails (it outgrows ``SUITE_WORDS``, or
+    ``n`` exceeds N): every deeper depth would rebuild the same table and
+    suite. A bound whose smallest suite, the model's cover at N states,
+    would exceed ``SUITE_WORDS`` is an ``InputError``.
+
+    Returns the certified or stabilized model in canonical form, or the last
+    candidate (possibly None), with each depth's oracle calls and time.
     """
     max_depth = _index(max_depth, "max_depth")
     min_depth = _index(min_depth, "min_depth")
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
     oracle = _as_oracle(env, x0)
-    floor = max(min(max_depth, min_depth) // 2 - 1, 0)
-    # m >= 2 words of a length past the bound's bit length exceed the bound
-    if oracle.n_actions ** min(floor, TABLE_TEST_WORDS.bit_length()) > TABLE_TEST_WORDS:
-        raise InputError(f"a depth floor of {min_depth} asks for every word of length {floor} "
-                         f"over {oracle.n_actions} actions, more than {TABLE_TEST_WORDS}")
+    bound = min_depth // 2 if min_depth >= 4 else None
+    if bound is not None and bound * oracle.n_actions >= SUITE_WORDS:
+        raise InputError(f"a bound of {bound} states over {oracle.n_actions} actions needs "
+                         f"suites of more than {SUITE_WORDS} words")
     resets0, steps0 = oracle.resets, oracle.steps
     table = _ObservationTable(oracle)  # one query cache for every depth
     attempts: list[DepthAttempt] = []
     prev_model, prev_depth, converged = None, None, False
-    for depth in range(2, max_depth + 1, 2):
+    for depth in range(2, (max_depth if bound is None else min(max_depth, 2 * bound + 2)) + 1, 2):
         horizon = depth // 2
         method = "trie" if count_nodes(oracle.n_actions, depth) <= TRIE_NODES else "table"
         resets, steps, t0 = oracle.resets, oracle.steps, perf_counter()
-        if method == "trie":
-            model, report = build_model(explore(oracle, None, depth), horizon)
-        else:
-            model, report = table.build(depth, horizon, min_depth)
+        while True:
+            if method == "trie":
+                model, report = build_model(explore(oracle, None, depth), horizon)
+            else:
+                model, report = table.build(depth, horizon,
+                                            TABLE_SUITE_SIZE if bound is None else 0)
+            certified, word, detail = False, None, report.detail
+            if model is not None and bound is None:
+                model = canonical_form(model, model.initial)[0]
+            elif model is not None:
+                model = _minimized(model)
+                suffixes = table.suffixes if method == "table" else [()]
+                certified, word, detail = table.certify(model, bound, suffixes)
+            if word is None or method == "trie":
+                break
+            table.refute(word)
         attempts.append(DepthAttempt(depth, horizon, method, report.ok, report.n_model_states,
-                                     report.detail, oracle.resets - resets,
+                                     detail, oracle.resets - resets,
                                      oracle.steps - steps, perf_counter() - t0))
-        if model is not None:
-            model = canonical_form(model, model.initial)[0]
-        converged = model is not None and model == prev_model and prev_depth >= min_depth
+        if certified:
+            prev_model, prev_depth = model, depth
+        converged = certified or (bound is None and model is not None and model == prev_model
+                                  and prev_depth >= min_depth)
         if converged:
             break
         prev_model, prev_depth = model, depth
+        if bound is not None and method == "table" and model is not None \
+                and depth >= 2 * report.n_model_states + 2:
+            break  # every representative is checked: deeper depths rebuild this table and suite
     return prev_model, LearnReport(converged, prev_depth if converged else None, depth,
                                    oracle.resets - resets0, oracle.steps - steps0,
-                                   tuple(attempts))
+                                   _Attempts(attempts), bound)
 
 
 @dataclass(frozen=True)

@@ -36,16 +36,24 @@ class Partition:
     block_of: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "block_of", _ids(self.block_of, "block ids"))
-        if self.n_states < 1 or len(self.block_of) != self.n_states:
+        # one verify run builds about 17,000 partitions: plain ints, which
+        # _index would return unchanged, skip the call
+        n, k = self.n_states, self.n_blocks
+        if type(n) is not int or type(k) is not int:
+            n, k = _index(n, "n_states"), _index(k, "n_blocks")
+            object.__setattr__(self, "n_states", n)
+            object.__setattr__(self, "n_blocks", k)
+        block_of = _ids(self.block_of, "block ids")
+        object.__setattr__(self, "block_of", block_of)
+        if n < 1 or len(block_of) != n:
             raise InputError("block_of must assign a block to every state")
         # canonical numbering: the k-th distinct id, scanning states upward, is k
-        occurring = _first_occurrence_count(self.block_of)
+        occurring = _first_occurrence_count(block_of)
         if occurring is None:
             raise InputError("blocks must be numbered by smallest member, ascending; "
                              "use Partition.from_block_of to canonicalize")
-        if occurring != self.n_blocks:
-            raise InputError(f"n_blocks={self.n_blocks} but {occurring} blocks occur")
+        if occurring != k:
+            raise InputError(f"n_blocks={k} but {occurring} blocks occur")
 
     @classmethod
     def from_block_of(cls, raw) -> "Partition":

@@ -141,7 +141,8 @@ class TestEndToEnd:
 
     def test_min_depth_flag_rules_out_early_agreement(self, tmp_path, capsys):
         # the early-agreement system of the learner tests: blank states alias
-        # at low horizons, so only the depth floor gives the exact model
+        # at low horizons, so only the certificate under a bound of 8 states
+        # gives the exact model
         env_file = tmp_path / "env.dts"
         env_file.write_text(write_dts(TransitionSystem.from_tables(
             ("u0", "u1"),
@@ -153,6 +154,7 @@ class TestEndToEnd:
             code, stdout, _ = run(capsys, "learn", "--env", str(env_file), "--max-depth", "22",
                                   *flags, "--out", str(model_file))
             assert code == 0 and "resets" in stdout.splitlines()[0]
+            assert ("certified at depth" in stdout) == bool(floor)
             assert run(capsys, "iso", "--a", str(env_file), "--b", str(model_file),
                        "--anchored")[0] == isomorphic
 
@@ -189,12 +191,18 @@ class TestEndToEnd:
         assert code == 2
 
     def test_unbounded_depth_floor_exits_two(self, tmp_path, capsys):
-        # every word of length 19 would start a test: refused up front, not run
+        # for a bound of 20 states the 4-state line's suite outgrows SUITE_WORDS
+        # at every depth: no certificate, exit 1, once deeper depths can add
+        # nothing; a bound whose smallest suite outgrows it is refused, exit 2
         env_file = tmp_path / "env.dts"
         env_file.write_text(write_dts(make_line(4)))
-        code, _, err = run(capsys, "learn", "--env", str(env_file), "--max-depth", "40",
+        code, out, _ = run(capsys, "learn", "--env", str(env_file), "--max-depth", "40",
                            "--min-depth", "40")
-        assert code == 2 and "floor" in err
+        assert code == 1
+        assert "no certificate by depth 14 for every environment of at most 20 states" in out
+        code, _, err = run(capsys, "learn", "--env", str(env_file), "--max-depth", "40",
+                           "--min-depth", str(10 ** 9))
+        assert code == 2 and "bound" in err
 
 
 class TestVerifyDeterminism:

@@ -72,8 +72,16 @@ CASES = {
                             0, (-1, 1)),
     "TransitionSystem labels": (lambda v: TransitionSystem(2, 1, ("a",), ((0,), (1,)), (0, v),
                                                            ("x", "y")), 1, (-1, 2)),
+    "TransitionSystem n_states": (lambda v: TransitionSystem(v, 1, ("a",), ((1,), (0,))).n_states,
+                                  2, (-1, 1, 3)),
+    "TransitionSystem n_actions": (lambda v: TransitionSystem(1, v, ("a", "b"), ((0, 0),)).n_actions,
+                                   2, (-1, 1, 3)),
+    "StateMap source_size": (lambda v: StateMap(v, 2, (0, 1)).source_size, 2, (-1, 1, 3)),
+    "StateMap target_size": (lambda v: StateMap(2, v, (0, 1)).target_size, 2, (-1, 1)),
     "StateMap map": (lambda v: StateMap(2, 2, (0, v)), 1, (-1, 2)),
     "StateMap call": (lambda v: StateMap(3, 2, (0, 1, 1))(v), 2, (-1, 3)),
+    "Partition n_states": (lambda v: Partition(v, 2, (0, 1)).n_states, 2, (-1, 1, 3)),
+    "Partition n_blocks": (lambda v: Partition(2, v, (0, 1)).n_blocks, 2, (-1, 1, 3)),
     "Partition block_of": (lambda v: Partition(2, 2, (0, v)), 1, (-1, 2)),
     "Partition.from_blocks state": (lambda v: Partition.from_blocks(2, [[0], [v]]), 1, (-1, 2)),
     "Partition.from_blocks size": (lambda v: Partition.from_blocks(v, [[0], [1]]), 2, (-1,)),

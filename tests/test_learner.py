@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -316,21 +318,27 @@ class TestLearn:
         for max_depth, min_depth in ((12.5, 2), ("12", 2), (1, 2), (12, 2.0), (12, None)):
             with pytest.raises(InputError):
                 learn(env, 0, max_depth, min_depth=min_depth)
-        # a floor whose exhaustive test words would outgrow the bound fails
-        # before any oracle call; a low max_depth caps the floor
+        # a bound whose smallest suite, the cover of a model at the bound, would
+        # outgrow SUITE_WORDS fails before any oracle call
         oracle = EnvOracle(env, 0)
-        for floor in (30, 40, 10 ** 9):
-            with pytest.raises(InputError, match="floor"):
-                learn(oracle, None, floor, min_depth=floor)
+        with pytest.raises(InputError, match="bound"):
+            learn(oracle, None, 10 ** 9, min_depth=10 ** 9)
         assert (oracle.resets, oracle.steps) == (0, 0)
+        # the 4-state line's suites for 15, 20 or 30,000 states outgrow it; its
+        # first table depth, 14, checks every representative, and deeper ones
+        # would rebuild the same table: no certificate, however deep the budget
+        for max_depth, floor in ((30, 30), (40, 40), (10 ** 9, 60000)):
+            _, report = learn(oracle, None, max_depth, min_depth=floor)
+            assert not report.converged and report.depth_stopped == 14
+            assert "outgrows" in report.attempts[-1].detail
         _, report = learn(oracle, None, 4, min_depth=40)
         assert not report.converged
 
     def test_learned_quotient_matches_the_congruence_quotient(self):
         # arbitrary label maps: the learner recovers the environment up to
-        # its own coarsest congruence, even without a pointed sensor; a
-        # depth floor of twice the state count invokes the exactness bound,
-        # which the observation table meets as the trie does
+        # its own coarsest congruence, even without a pointed sensor; with
+        # min_depth twice the state count the bound is the true size, and the
+        # certificate makes the first model that passes its suite exact
         for n_actions, seed in ((2, 33), (2, 35), (3, 36), (4, 37)):
             rng = SplitMix64(seed)
             for _ in range(25):
@@ -353,7 +361,7 @@ class TestLearn:
 
     def test_early_agreement_can_mislead_without_the_depth_floor(self):
         # blank states that alias at low horizons stabilize a wrong small
-        # model; the depth floor rules the shallow agreement out
+        # model; under a bound of 8 states the certificate refutes it
         env = TransitionSystem.from_tables(
             ("u0", "u1"),
             [[0, 6], [3, 3], [0, 4], [4, 5], [2, 7], [5, 1], [5, 6], [6, 2]],
@@ -374,12 +382,27 @@ class TestLearn:
         first = report.attempts[0]
         assert f"{first.resets} resets, {first.steps} steps" in report.summary()
 
+    def test_attempts_read_back_as_recorded(self):
+        # the report keeps its attempts packed in one array of numbers
+        _, report = learn(make_random(6, 3, 77), 0, 14)
+        atts = tuple(report.attempts)
+        assert len(report.attempts) == len(atts) == 6
+        assert report.attempts[-1] == atts[-1] and report.attempts[2:] == atts[2:]
+        assert report.attempts == atts and hash(report.attempts) == hash(atts)
+        assert [a.depth for a in atts] == list(range(2, 14, 2))
+        assert [a.method for a in atts] == ["trie"] * 4 + ["table"] * 2
+        for att in atts:
+            assert isinstance(att, learner.DepthAttempt) and att.horizon == att.depth // 2
+            assert [type(v) for v in (att.depth, att.ok, att.n_states, att.resets, att.steps,
+                                      att.seconds)] == [int, bool, int, int, int, float]
+        with pytest.raises(IndexError):
+            report.attempts[6]
+
     def test_combination_lock_is_exact_only_with_the_depth_floor(self):
         # "r" advances, "w" resets, and only the last state clicks: one word
         # of length n - 1 tells the states apart. Shallow tries and the
-        # table's sampled tests miss it and settle on one state; the floor 2n
-        # makes every word of length n - 1 start a test, which the exactness
-        # bound needs
+        # table's sampled tests miss it and settle on one state; under a bound
+        # of n states the suite of that state runs through r^(n-1) and refutes it
         n = 12
         env = TransitionSystem.from_tables(
             ("r", "w"), [[min(i + 1, n - 1), 0] for i in range(n)],
@@ -389,6 +412,35 @@ class TestLearn:
         patient, report = learn(env, 0, 2 * n + 6, min_depth=2 * n)
         assert report.converged
         assert are_isomorphic(env, patient, anchored=True)[0]
+
+    def test_bounded_learns_match_the_trie_at_twice_the_bound(self):
+        # with min_depth = 2n the run stops at the first depth whose suite
+        # passes, often well before 2n, and still gives the exact model; the
+        # sizes keep the reference's complete trie at depth 2n + 2 small
+        rng = SplitMix64(38)
+        for case in range(75):
+            m = 2 + case % 3
+            n = 2 + rng.below((7, 4, 3)[m - 2])
+            env = make_random(n, m, rng.next_u64(), pointed=bool(rng.below(2)))
+            expected, depth = trie_learn(env, 0, 2 * n + 2, min_depth=2 * n)
+            assert depth == 2 * n
+            model, report = learn(env, 0, 2 * n + 2, min_depth=2 * n)
+            assert report.converged and report.bound == n, case
+            assert model == expected, case
+
+    def test_fourteen_state_lock_is_certified_within_a_second(self):
+        n = 14
+        env = TransitionSystem.from_tables(
+            ("r", "w"), [[min(i + 1, n - 1), 0] for i in range(n)],
+            ["blank"] * (n - 1) + ["click"], 0)
+        t0 = perf_counter()
+        model, report = learn(env, 0, 2 * n + 6, min_depth=2 * n)
+        assert perf_counter() - t0 < 1.0
+        assert report.converged and report.depth_converged <= 2 * n
+        assert are_isomorphic(env, model, anchored=True)[0]
+        summary = report.summary()
+        assert f"certified at depth {report.depth_converged}" in summary
+        assert f"at most {n} states" in summary
 
     def test_table_cost_stays_polynomial_in_the_depth(self):
         # the full trie at depth 68 would need 2^34 sessions per word
@@ -406,6 +458,15 @@ class TestLearn:
         assert are_isomorphic(env, model, anchored=True, anchor_a=env.initial)[0]
         assert report.oracle_resets < 10 ** 6
 
+    def test_34_state_arm_is_certified(self):
+        spec = ArmSpec(joints=2, resolution=6, obstacles=frozenset({(1, 1), (4, 4)}),
+                       click=(0, 0))
+        env = make_arm(spec)
+        model, report = learn(env, env.initial, 68, min_depth=68)
+        assert report.converged and report.bound == 34
+        assert are_isomorphic(env, model, anchored=True, anchor_a=env.initial)[0]
+        assert report.oracle_resets < 10 ** 6
+
     def test_torus_group_action_is_recovered(self):
         spec = ArmSpec(joints=2, resolution=4, obstacles=frozenset(), click=(0, 0))
         env = make_arm(spec)
@@ -420,6 +481,51 @@ class TestLearn:
         model, report = learn(env, env.initial, 12)
         assert report.converged
         assert are_isomorphic(env, model, anchored=True)[0]
+
+
+class TestCertificate:
+    """The W-method suite that certifies a minimal model under a state bound."""
+
+    @staticmethod
+    def certify(env, model, bound):
+        table = learner._ObservationTable(EnvOracle(env, 0))
+        return table.certify(model, bound, [()])
+
+    def test_the_last_sigma_layer_is_needed(self):
+        # the environment has one more state than the model, hidden behind
+        # the cover word "y y": only one more step after it tells them apart
+        env = TransitionSystem.from_tables(
+            ("x", "y"), [[0, 1], [0, 2], [0, 0]], ["o", "i", "o"], 0)
+        model = TransitionSystem.from_tables(("x", "y"), [[0, 1], [0, 0]], ["o", "i"], 0)
+        assert self.certify(env, model, 3)[:2] == (False, (1, 1, 1))
+        # under a bound of 2 the suite has no Σ layer, and the wrong bound lets it pass
+        assert self.certify(env, model, 2)[:2] == (True, None)
+
+    def test_every_separating_word_is_needed(self):
+        env = TransitionSystem.from_tables(
+            ("x", "y"), [[0, 3], [1, 2], [0, 2], [2, 1]], ["o", "i", "o", "o"], 0)
+        model = TransitionSystem.from_tables(
+            ("x", "y"), [[0, 1], [0, 2], [2, 0]], ["o", "o", "i"], 0)
+        assert learner._characterizing(model, [()]) == [(), (1,)]
+        assert self.certify(env, model, 4)[:2] == (False, (1, 0, 1, 1))
+
+    def test_separating_words_characterize_minimal_models(self):
+        rng = SplitMix64(39)
+        for _ in range(40):
+            m = 2 + rng.below(3)
+            env = make_random(2 + rng.below(7), m, rng.next_u64(), pointed=bool(rng.below(2)))
+            model, _ = quotient(env, msr(env, partition_from_labels(env)))
+            words = learner._characterizing(model, [()])
+            traces = {tuple(tuple(model.labels[star(model, s, w[:i])] for i in range(len(w) + 1))
+                            for w in words) for s in range(model.n_states)}
+            assert len(traces) == model.n_states
+            assert len(words) <= model.n_states
+
+    def test_a_bound_below_the_model_size_is_not_certified(self):
+        env = make_line(4)
+        model, _ = learn(env, 0, 12)
+        assert self.certify(env, model, 3) == (False, None, "not certified: more than 3 states")
+        assert self.certify(env, model, 4)[0]
 
 
 class TestVerifyLearned:
