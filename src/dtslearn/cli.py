@@ -239,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-depth", type=int, default=2,
                    help="4 or more: N = min-depth // 2 bounds the environment's states, and "
                         "learning stops at the first depth whose model a W-method suite "
-                        "certifies for every environment of at most N states; 2 or 3: stop "
-                        "when two successive depths agree, the first at min-depth or deeper")
+                        "certifies for every environment of at most N states; below 4 "
+                        "(the default 2): no bound, stop when two successive depths agree")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_learn)
 

@@ -23,7 +23,8 @@ from .core import (
 )
 
 MAX_STATES = 100_000
-_MAX_ATTEMPTS = 1_000_000
+_MAX_ATTEMPTS = 1_000_000  # candidates make_random may draw
+_MAX_OUTPUTS = 1 << 25  # stream outputs they may take, n·m each
 # stream outputs drawn per candidate batch of make_random (one candidate may exceed it)
 _BATCH_DRAWS = 1 << 13
 
@@ -228,12 +229,13 @@ def make_random(n: int, m: int, seed: int,
     (k+1)·n·m`` of ``SplitMix64(seed)``, each reduced mod ``n``. The first
     candidate that is strongly connected (and minimally distinguishing when
     requested) is the table; ``GenerationError`` is raised when none of the
-    first ``_MAX_ATTEMPTS`` is. Candidates are drawn and tested in numpy
-    batches, one at first and four times as many each time up to
-    ``_BATCH_DRAWS`` outputs, but the stream is left just past the chosen
-    candidate, as a one-at-a-time loop would leave it. Labels: a pointed
-    system gives state 0 the only "click"; otherwise the next ``n`` outputs
-    give each state one of two values, by parity.
+    first ``_MAX_ATTEMPTS`` is, or of those within the first ``_MAX_OUTPUTS``
+    stream outputs, so the time to give up does not grow with the table.
+    Candidates are drawn and tested in numpy batches, one at first and four
+    times as many each time up to ``_BATCH_DRAWS`` outputs, but the stream is
+    left just past the chosen candidate, as a one-at-a-time loop would leave
+    it. Labels: a pointed system gives state 0 the only "click"; otherwise the
+    next ``n`` outputs give each state one of two values, by parity.
     """
     n = _index(n, "the state count")
     m = _index(m, "the action count")
@@ -244,10 +246,11 @@ def make_random(n: int, m: int, seed: int,
     rng = SplitMix64(seed)
     action_names = tuple(f"u{a}" for a in range(m))
     cells = n * m
+    budget = min(_MAX_ATTEMPTS, _MAX_OUTPUTS // cells)
     tried = 0
     batch = 1
-    while tried < _MAX_ATTEMPTS:
-        k = min(batch, _MAX_ATTEMPTS - tried)
+    while tried < budget:
+        k = min(batch, budget - tried)
         start = rng.state
         cand = (rng.next_u64s(k * cells) % np.uint64(n)).astype(np.intp).reshape(k, n, m)
         keep = np.arange(k)
@@ -263,7 +266,8 @@ def make_random(n: int, m: int, seed: int,
         batch = min(4 * batch, max(1, _BATCH_DRAWS // cells))
     else:
         raise GenerationError(
-            f"no admissible system found in {_MAX_ATTEMPTS} draws (n={n}, m={m})")
+            f"no admissible system found in {budget} candidates of {cells} stream outputs "
+            f"each (n={n}, m={m})")
     if pointed:
         state_labels = ["click"] + ["blank"] * (n - 1)
     else:

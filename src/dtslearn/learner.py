@@ -10,11 +10,11 @@ a bound on the environment's states, a W-method test suite instead proves a
 candidate exact, and learning stops at the first depth it does.
 
 Each depth's candidate comes from an L*/L#-style observation table over one
-observation tree shared by all depths: suffixes are added only where two
-words of a row disagree or the hypothesis fails a test (counterexamples
-reduced as in Rivest & Schapire). Where the complete trie of all words up to
-the depth has at most ``TRIE_NODES`` nodes, it is explored instead and its
-nodes are split over a horizon, which is exact and cheaper at that size.
+observation tree shared by all depths. One loop adds a suffix where two words
+of a row disagree or the hypothesis fails a test: sampled words, or under a
+bound the certificate suite (counterexamples reduced as in Rivest & Schapire).
+Where the complete trie of all words up to the depth has at most TRIE_NODES
+nodes, it is explored instead and split over a horizon: exact, and cheaper.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, product
 from time import perf_counter
 
@@ -80,8 +80,9 @@ class EnvOracle:
     def _check_actions(self, actions) -> np.ndarray:
         """The action ids as an array; ``InputError`` unless all are integers in ``0..m-1``."""
         acts = np.asarray(actions)
-        if acts.size and (acts.dtype.kind not in "iu" or acts.min() < 0
-                          or acts.max() >= self.n_actions):
+        if not acts.size:  # [] and () read as floats; no action is a valid id
+            return acts.astype(np.int64)
+        if acts.dtype.kind not in "iu" or acts.min() < 0 or acts.max() >= self.n_actions:
             raise InputError(f"action ids must be integers from 0 to {self.n_actions - 1}")
         return acts
 
@@ -407,18 +408,20 @@ class _ObservationTable:
             self.kids += kids
             self.succ_rows.append(rows)
 
-    def build(self, depth: int, horizon: int, count: int,
-              ) -> tuple[TransitionSystem | None, BuildReport]:
-        """Close, make consistent and test the table; the hypothesis on the shallow words.
+    def build(self, depth: int, horizon: int, bound: int | None,
+              ) -> tuple[TransitionSystem | None, BuildReport, bool]:
+        """Close, make consistent and test the table; its hypothesis on the shallow words, checked.
 
-        The tests are every word of the horizon's length if there are at most
-        ``count``, else ``count`` of them drawn from a stream seeded with the
-        depth, so a hypothesis that passes is not proved exact. Under a state
-        bound ``count`` is 0: ``certify`` checks the hypothesis instead, and
-        ``refute`` hands a failing word back.
+        With no ``bound`` the tests are every word of the horizon's length if
+        there are at most ``TABLE_SUITE_SIZE``, else that many drawn from a
+        stream seeded with the depth, so passing them proves nothing. Under a
+        bound the test is the certificate suite of ``check``. A word failing
+        either gives a Rivest–Schapire suffix, and the table builds again.
+        Returns the candidate, report and certificate flag that ``check`` gives.
         """
         max_len = depth - horizon - 1  # same shallowness rule as the trie build
         m, actions = self.m, self.oracle.action_names
+        count = TABLE_SUITE_SIZE if bound is None else 0
         if m ** horizon <= count:
             tests = np.array(list(product(range(m), repeat=horizon)), dtype=np.int64)
         else:
@@ -434,7 +437,7 @@ class _ObservationTable:
                 return None, BuildReport(
                     False, True, False, len(self.reps), n,
                     f"not closed: class {r} leads under action {actions[a]!r} "
-                    "to a class with no shallow member")
+                    "to a class with no shallow member"), False
             # consistent: a word's successors share its representative's rows
             reps, kids, targets = np.array(self.reps[:n]), np.array(self.kids), delta.reshape(-1)
             split = np.flatnonzero(np.repeat(np.array(self.rep_len[:n]) < max_len, m)
@@ -443,25 +446,39 @@ class _ObservationTable:
             bad = np.argwhere(rows != np.concatenate(self.succ_rows)[targets[split]])
             if len(bad):
                 b, k = divmod(int(bad[0][1]), len(self.suffixes))
-                suffix = (b,) + self.suffixes[k]
-            else:
-                cover = np.concatenate([reps, kids, self.tree[kids[split], :m].ravel()])
-                states = np.concatenate([np.arange(n), targets, delta[targets[split]].ravel()])
-                word = self._mismatch(cover, states, tests, lens, delta, self.tree[reps, m])
+                self.suffixes.append((b,) + self.suffixes[k])
+                self._reset()
+                continue
+            cover = np.concatenate([reps, kids, self.tree[kids[split], :m].ravel()])
+            states = np.concatenate([np.arange(n), targets, delta[targets[split]].ravel()])
+            word = self._mismatch(cover, states, tests, lens, delta, self.tree[reps, m])
+            if word is None:
+                names = [self.oracle.label_names[label] for label in self.tree[reps, m]]
+                model = TransitionSystem.from_tables(actions, delta.tolist(), names, initial=0)
+                model, report, certified, word = self.check(
+                    model, BuildReport(True, True, True, len(self.reps), n), bound, self.suffixes)
                 if word is None:
-                    break
-                suffix = self._counterexample(word, reps, delta)
-            self.suffixes.append(suffix)
+                    return model, report, certified
+            self.suffixes.append(self._counterexample(word, reps, delta))
             self._reset()
-        self.hypothesis = reps, delta
-        names = [self.oracle.label_names[label] for label in self.tree[reps, self.m]]
-        model = TransitionSystem.from_tables(actions, delta.tolist(), names, initial=0)
-        return model, BuildReport(True, True, True, len(self.reps), n)
 
-    def refute(self, word: tuple[int, ...]):
-        """Add the suffix of a word that the last built hypothesis labels wrong."""
-        self.suffixes.append(self._counterexample(word, *self.hypothesis))
-        self._reset()
+    def check(self, model: TransitionSystem | None, report: BuildReport, bound: int | None,
+              suffixes=((),)) -> tuple[TransitionSystem | None, BuildReport, bool, tuple | None]:
+        """The gate of every candidate: its canonical form, or under a bound its certificate.
+
+        Under a bound the candidate is minimized and replayed through ``certify``
+        with ``suffixes`` first in W; the report takes the suite's detail. Returns
+        the checked candidate, the report, whether it is certified and a word it
+        labels wrong, if the suite found one.
+        """
+        if model is None:
+            return None, report, False, None
+        if bound is None:
+            return canonical_form(model, model.initial)[0], report, False, None
+        small, _ = quotient(model, msr(model, partition_from_labels(model)))
+        model = canonical_form(small, small.initial)[0]
+        certified, word, detail = self.certify(model, bound, suffixes)
+        return model, replace(report, detail=detail), certified, word
 
     def _word(self, v: int) -> tuple[int, ...]:
         """The action word of tree node ``v``."""
@@ -669,29 +686,26 @@ class LearnReport:
         return "\n".join(lines)
 
 
-def _minimized(model: TransitionSystem) -> TransitionSystem:
-    """A candidate's quotient by its coarsest label-respecting congruence, in canonical form."""
-    small, _ = quotient(model, msr(model, partition_from_labels(model)))
-    return canonical_form(small, small.initial)[0]
-
-
 def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
           ) -> tuple[TransitionSystem | None, LearnReport]:
     """Deepen exploration until a candidate is certified, or two successive candidates agree.
 
     Runs depths 2, 4, ... up to ``max_depth`` with the horizon at half the
-    depth. With ``min_depth`` below 4 no bound is stated: the run stops once
-    the candidates of two successive depths, the first at ``min_depth`` or
-    deeper, have identical canonical forms anchored at the root class. That
-    agreement is a heuristic.
+    depth. A depth's candidate comes from the complete trie where it has at
+    most ``TRIE_NODES`` nodes, else from the observation table, which refines
+    itself until its hypothesis passes its tests; ``_ObservationTable.check``
+    then makes it canonical, or certifies it.
+
+    With ``min_depth`` below 4 no bound is stated and ``min_depth`` does
+    nothing: the run stops once two successive depths' candidates have
+    identical canonical forms anchored at the root class. That agreement is
+    a heuristic.
 
     With ``min_depth`` 4 or more, ``N = min_depth // 2`` is the caller's bound
-    on the environment's states. Each depth's candidate is minimized and
-    checked by a W-method suite through the oracle (see
-    ``_ObservationTable.certify``), and the run stops at the first depth whose
-    suite passes: the model is then exact for every environment of at most N
-    states. A failing suite word refines the table, which builds again at the
-    same depth; the table runs no sampled tests then. Depths end at
+    on the environment's states. Each candidate is minimized and checked by a
+    W-method suite through the oracle (see ``_ObservationTable.certify``),
+    and the run stops at the first depth whose suite passes: the model is
+    then exact for every environment of at most N states. Depths end at
     ``2N + 2``, where the table can hold every state of such an environment,
     or at a table depth of at least ``2n + 2`` for its ``n`` representatives
     whose suite neither passes nor fails (it outgrows ``SUITE_WORDS``, or
@@ -719,35 +733,21 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
         horizon = depth // 2
         method = "trie" if count_nodes(oracle.n_actions, depth) <= TRIE_NODES else "table"
         resets, steps, t0 = oracle.resets, oracle.steps, perf_counter()
-        while True:
-            if method == "trie":
-                model, report = build_model(explore(oracle, None, depth), horizon)
-            else:
-                model, report = table.build(depth, horizon,
-                                            TABLE_SUITE_SIZE if bound is None else 0)
-            certified, word, detail = False, None, report.detail
-            if model is not None and bound is None:
-                model = canonical_form(model, model.initial)[0]
-            elif model is not None:
-                model = _minimized(model)
-                suffixes = table.suffixes if method == "table" else [()]
-                certified, word, detail = table.certify(model, bound, suffixes)
-            if word is None or method == "trie":
-                break
-            table.refute(word)
+        if method == "table":
+            model, report, certified = table.build(depth, horizon, bound)
+        else:  # a word the trie's candidate fails is not the table's to refine
+            model, report, certified, _ = table.check(
+                *build_model(explore(oracle, None, depth), horizon), bound)
         attempts.append(DepthAttempt(depth, horizon, method, report.ok, report.n_model_states,
-                                     detail, oracle.resets - resets,
+                                     report.detail, oracle.resets - resets,
                                      oracle.steps - steps, perf_counter() - t0))
-        if certified:
+        converged = certified or (bound is None and model is not None and model == prev_model)
+        if certified or not converged:
             prev_model, prev_depth = model, depth
-        converged = certified or (bound is None and model is not None and model == prev_model
-                                  and prev_depth >= min_depth)
-        if converged:
+        # a bounded table whose every representative is checked: deeper depths rebuild it
+        if converged or (bound is not None and method == "table" and model is not None
+                         and depth >= 2 * report.n_model_states + 2):
             break
-        prev_model, prev_depth = model, depth
-        if bound is not None and method == "table" and model is not None \
-                and depth >= 2 * report.n_model_states + 2:
-            break  # every representative is checked: deeper depths rebuild this table and suite
     return prev_model, LearnReport(converged, prev_depth if converged else None, depth,
                                    oracle.resets - resets0, oracle.steps - steps0,
                                    _Attempts(attempts), bound)

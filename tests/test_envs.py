@@ -1,5 +1,6 @@
 import hashlib
 from itertools import product
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -226,6 +227,16 @@ class TestRandom:
             # distinguishing strongly connected 8-state table
             envs.make_random(8, 2, 0, require_min_dist=True)
         assert _MAX_ATTEMPTS == 1_000_000  # the module default is untouched
+
+    def test_output_budget_fails_large_tables_promptly(self):
+        # uniform 2-action tables of 120 states are almost never strongly
+        # connected; the budget is 2^25 stream outputs, 139,810 such candidates
+        t0 = perf_counter()
+        with pytest.raises(GenerationError, match="139810 candidates of 240 stream outputs"):
+            make_random(120, 2, 1)
+        assert perf_counter() - t0 < 5.0
+        with pytest.raises(GenerationError, match="^no admissible system found in 0 candidates"):
+            make_random(100_000, 400, 1)  # not one candidate fits
 
 
 # sha256 of (delta, labels, label_names) over the grid below, computed with

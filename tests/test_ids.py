@@ -158,3 +158,21 @@ def test_table_entries_become_ints():
     assert type(sys.initial) is int
     assert all(type(b) is int for b in Partition(3, 2, np.array([0, 1, 1])).block_of)
     assert all(type(t) is int for t in StateMap(2, 2, np.array([1, 0])).map)
+
+
+def test_zero_sessions_step_to_nothing():
+    # start(0) begins an empty batch; an empty action list steps it, counting nothing
+    oracle = EnvOracle(LINE, 0)
+    assert oracle.start(0).tolist() == []
+    for actions in ([], (), np.array([]), np.array([], dtype=np.int32), 1):
+        out = oracle.step(actions)
+        assert out.tolist() == [] and out.dtype == np.int32
+    assert (oracle.resets, oracle.steps) == (0, 0)
+    for actions in ([0], np.array([1, 0]), 2, 0.5):
+        with pytest.raises(InputError):
+            oracle.step(actions)
+    oracle.start(2)
+    for actions in ([], ()):
+        with pytest.raises(InputError):
+            oracle.step(actions)
+    assert (oracle.resets, oracle.steps) == (2, 0)

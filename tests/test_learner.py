@@ -1,3 +1,4 @@
+import hashlib
 from time import perf_counter
 
 import numpy as np
@@ -481,6 +482,44 @@ class TestLearn:
         model, report = learn(env, env.initial, 12)
         assert report.converged
         assert are_isomorphic(env, model, anchored=True)[0]
+
+    def test_golden_digest(self):
+        # models, stops and every depth's record but its seconds, unbounded and
+        # under a bound of n states; a refactor of the learner must keep them all
+        digest = hashlib.sha256()
+        for env, x0, bounded in _digest_learns():
+            n = env.n_states
+            model, report = learn(env, x0, 2 * n + 6, min_depth=2 * n if bounded else 2)
+            records = [(a.depth, a.horizon, a.method, a.ok, a.n_states, a.detail, a.resets,
+                        a.steps) for a in report.attempts]
+            digest.update(repr((model, report.converged, report.depth_converged,
+                                report.depth_stopped, report.oracle_resets, report.oracle_steps,
+                                report.bound, records)).encode())
+        assert digest.hexdigest() == GOLDEN_LEARN_DIGEST
+
+
+# sha256 of test_golden_digest's records, computed before the sampled tests and
+# the certificate shared one refinement loop in the observation table
+GOLDEN_LEARN_DIGEST = "990810fff85d10df4cf88cc3eab55140f37f317f816ca2db673c2ff26d26f740"
+
+
+def _digest_learns():
+    """(environment, start state, bounded) for the golden learn digest."""
+    for res in (6, 7):  # the 34- and 47-state 2-joint arms
+        env = make_arm(ArmSpec(2, res, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        yield env, env.initial, False
+        yield env, env.initial, True
+    rng = SplitMix64(40)
+    for _ in range(30):
+        env = make_random(2 + rng.below(6), 2 + rng.below(3), rng.next_u64(),
+                          pointed=bool(rng.below(2)))
+        yield env, 0, False
+        yield env, 0, True
+    for n in (10, 12, 14):  # combination locks: "r" advances, "w" resets
+        env = TransitionSystem.from_tables(
+            ("r", "w"), [[min(i + 1, n - 1), 0] for i in range(n)],
+            ["blank"] * (n - 1) + ["click"], 0)
+        yield env, 0, True
 
 
 class TestCertificate:
