@@ -20,7 +20,7 @@ from .core import (
     is_strongly_connected,
 )
 from .coupling import are_bisimilar, couple, has_nontrivial_autobisimulation, is_surpriseless
-from .envs import ArmSpec, make_arm, make_cycle, make_line, make_random
+from .envs import MAX_ACTIONS, ArmSpec, make_arm, make_cycle, make_line, make_random
 from .fileio import (
     parse_dts,
     parse_obstacles,
@@ -185,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joints", type=int, default=2)
     p.add_argument("--resolution", type=int, default=6)
     p.add_argument("--obstacles", help="file of forbidden arm configurations")
-    p.add_argument("--actions", type=int, default=2, help="actions (random)")
+    p.add_argument("--actions", type=int, default=2,
+                   help=f"actions (random; at most {MAX_ACTIONS})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-dist", action="store_true",
                    help="resample until minimally distinguishing (random)")

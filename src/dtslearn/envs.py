@@ -23,9 +23,12 @@ from .core import (
 )
 
 MAX_STATES = 100_000
+MAX_ACTIONS = 1_000  # actions make_random may build
 _MAX_ATTEMPTS = 1_000_000  # candidates make_random may draw
 _MAX_OUTPUTS = 1 << 25  # stream outputs they may take, n·m each
-# stream outputs drawn per candidate batch of make_random (one candidate may exceed it)
+# stream outputs drawn per candidate batch of make_random (one candidate may exceed
+# it). The first batch is 1/32 of it: without require_min_dist a small table is
+# usually accepted among its first few candidates, so a full batch would go unused.
 _BATCH_DRAWS = 1 << 13
 
 _MASK = (1 << 64) - 1
@@ -231,11 +234,15 @@ def make_random(n: int, m: int, seed: int,
     requested) is the table; ``GenerationError`` is raised when none of the
     first ``_MAX_ATTEMPTS`` is, or of those within the first ``_MAX_OUTPUTS``
     stream outputs, so the time to give up does not grow with the table.
-    Candidates are drawn and tested in numpy batches, one at first and four
-    times as many each time up to ``_BATCH_DRAWS`` outputs, but the stream is
-    left just past the chosen candidate, as a one-at-a-time loop would leave
-    it. Labels: a pointed system gives state 0 the only "click"; otherwise the
-    next ``n`` outputs give each state one of two values, by parity.
+    ``n`` is at most ``MAX_STATES`` and ``m`` at most ``MAX_ACTIONS``; larger
+    values raise ``InputError`` before anything is built or drawn.
+    Candidates are drawn and tested in numpy batches: the first holds about
+    ``_BATCH_DRAWS / 32`` stream outputs (at least one candidate), and each
+    next one four times as many candidates, up to ``_BATCH_DRAWS`` outputs;
+    but the stream is left just past the chosen candidate, as a
+    one-at-a-time loop would leave it. Labels: a pointed system gives state
+    0 the only "click"; otherwise the next ``n`` outputs give each state one
+    of two values, by parity.
     """
     n = _index(n, "the state count")
     m = _index(m, "the action count")
@@ -243,12 +250,14 @@ def make_random(n: int, m: int, seed: int,
         raise InputError("need at least one state and one action")
     if n > MAX_STATES:
         raise InputError(f"refusing to build more than {MAX_STATES} states")
+    if m > MAX_ACTIONS:
+        raise InputError(f"refusing to build more than {MAX_ACTIONS} actions")
     rng = SplitMix64(seed)
     action_names = tuple(f"u{a}" for a in range(m))
     cells = n * m
     budget = min(_MAX_ATTEMPTS, _MAX_OUTPUTS // cells)
     tried = 0
-    batch = 1
+    batch = max(1, (_BATCH_DRAWS >> 5) // cells)
     while tried < budget:
         k = min(batch, budget - tried)
         start = rng.state

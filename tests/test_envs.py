@@ -238,6 +238,16 @@ class TestRandom:
         with pytest.raises(GenerationError, match="^no admissible system found in 0 candidates"):
             make_random(100_000, 400, 1)  # not one candidate fits
 
+    def test_action_cap_raises_before_drawing(self):
+        # 2^18 actions over 100 states would be one 26.2-million-cell candidate
+        t0 = perf_counter()
+        with pytest.raises(InputError, match=f"more than {envs.MAX_ACTIONS} actions"):
+            make_random(100, 1 << 18, 1)
+        assert perf_counter() - t0 < 0.1
+        with pytest.raises(InputError):
+            make_random(2, envs.MAX_ACTIONS + 1, 1)
+        assert make_random(1, envs.MAX_ACTIONS, 1).n_actions == envs.MAX_ACTIONS
+
 
 # sha256 of (delta, labels, label_names) over the grid below, computed with
 # the one-candidate-at-a-time generator that the batched one replaced

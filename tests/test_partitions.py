@@ -1,5 +1,9 @@
+from itertools import product
+from math import prod
+
 import pytest
 
+import dtslearn.partitions as partitions
 from dtslearn import (
     InputError,
     Partition,
@@ -60,6 +64,15 @@ class TestPartitionType:
     def test_from_blocks_requires_disjoint(self):
         with pytest.raises(InputError):
             Partition.from_blocks(2, [[0, 1], [1]])
+
+    def test_public_constructors_still_validate(self):
+        for build in (lambda: Partition(3, 2, (0, 2, 1)),
+                      lambda: Partition(2, 2.0, (0, 1)),
+                      lambda: Partition.from_block_of([]),
+                      lambda: Partition.identity(0),
+                      lambda: Partition.single_block(-1)):
+            with pytest.raises(InputError):
+                build()
 
     def test_blocks_roundtrip(self):
         part = Partition.from_blocks(4, [[0, 2], [1], [3]])
@@ -245,6 +258,34 @@ class TestMsr:
             sys = make_random(2 + rng.below(5), 1 + rng.below(3), rng.next_u64())
             e = rand_partition(rng, sys.n_states)
             assert msr(sys, e) == msr_bruteforce(sys, e)
+
+    def test_bruteforce_examines_exactly_the_refinements(self, monkeypatch):
+        # every partition of n states, from all n^n id tuples canonicalized
+        def every_partition(n):
+            return {Partition.from_block_of(ids) for ids in product(range(n), repeat=n)}
+
+        bell = (1, 1, 2, 5, 15, 52)
+        examined = []
+
+        def counting(sys, part):
+            examined.append(part)
+            return is_sufficient(sys, part)
+
+        monkeypatch.setattr(partitions, "is_sufficient", counting)
+        rng = SplitMix64(31)
+        for i in range(20):
+            n, m = 1 + i % 5, 1 + i // 10
+            sys = make_random(n, m, rng.next_u64())
+            everything = every_partition(n)
+            assert len(everything) == bell[n]
+            for e in everything:
+                refinements = {p for p in everything if is_refinement(p, e)}
+                coarsest = min((p for p in refinements if is_sufficient(sys, p)[0]),
+                               key=lambda p: p.n_blocks)
+                examined.clear()
+                assert msr_bruteforce(sys, e) == coarsest
+                assert set(examined) == refinements
+                assert len(examined) == prod(bell[len(block)] for block in e.blocks())
 
     def test_bruteforce_rejects_large_systems(self):
         sys = make_cycle(9)

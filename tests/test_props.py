@@ -44,6 +44,18 @@ def system_with_partitions(draw, k=1):
     return (sys, *parts)
 
 
+@given(st.lists(st.one_of(st.integers(-3, 3), st.text("ab", max_size=2)), min_size=1),
+       system_with_partitions())
+def test_unchecked_results_pass_the_checks(raw, data):
+    sys, e = data
+    n = sys.n_states
+    for part in (Partition.from_block_of(raw), Partition.identity(n),
+                 Partition.single_block(n), msr(sys, e)):
+        rebuilt = Partition(part.n_states, part.n_blocks, part.block_of)
+        assert part == rebuilt
+        assert hash(part) == hash(rebuilt)
+
+
 @given(system_with_partitions())
 def test_msr_is_idempotent(data):
     sys, e = data
