@@ -239,14 +239,21 @@ def _bfs_order(succ, start: int) -> list[int]:
     return order
 
 
-def is_strongly_connected(sys: TransitionSystem) -> bool:
-    """True iff every ordered state pair is joined by some action sequence."""
-    # state 0 reaches every state over the edges, and over the reversed edges
-    rev: list[list[int]] = [[] for _ in range(sys.n_states)]
-    for s, row in enumerate(sys.delta):
+def _strongly_connected(delta) -> bool:
+    """True iff state 0 reaches every state over the rows of ``delta``, then over their reverse."""
+    n = len(delta)
+    if len(_bfs_order(delta, 0)) != n:
+        return False
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for s, row in enumerate(delta):
         for t in row:
             rev[t].append(s)
-    return len(_bfs_order(sys.delta, 0)) == len(_bfs_order(rev, 0)) == sys.n_states
+    return len(_bfs_order(rev, 0)) == n
+
+
+def is_strongly_connected(sys: TransitionSystem) -> bool:
+    """True iff every ordered state pair is joined by some action sequence."""
+    return _strongly_connected(sys.delta)
 
 
 def is_minimally_distinguishing(

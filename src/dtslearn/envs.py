@@ -20,12 +20,13 @@ from .core import (
     _bfs_order,
     _ids,
     _index,
+    _strongly_connected,
 )
 
 MAX_STATES = 100_000
 MAX_ACTIONS = 1_000  # actions make_random may build
 _MAX_ATTEMPTS = 1_000_000  # candidates make_random may draw
-_MAX_OUTPUTS = 1 << 25  # stream outputs they may take, n·m each
+_MAX_OUTPUTS = 1 << 25  # stream outputs they may take, n·m each; next_u64s gives no more
 # stream outputs drawn per candidate batch of make_random (one candidate may exceed
 # it). The first batch is 1/32 of it: without require_min_dist a small table is
 # usually accepted among its first few candidates, so a full batch would go unused.
@@ -33,17 +34,11 @@ _BATCH_DRAWS = 1 << 13
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_GAMMA_U64, _MUL1_U64, _MUL2_U64 = map(np.uint64, (_GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
 class GenerationError(DtsError):
     """Random generation exhausted its rejection budget."""
-
-
-def _mix(z):
-    """splitmix64's output function, on a Python int or a ``uint64`` array (which wraps)."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -57,25 +52,36 @@ class SplitMix64:
         self.state = _index(seed, "the seed") & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        return _mix(self.state)
+        """The next output; a draw below 2^64 is the output itself."""
+        return self.below(1 << 64)
 
     def next_u64s(self, count: int) -> np.ndarray:
         """The next ``count`` outputs as a ``uint64`` array, as ``next_u64`` would give them."""
         count = _index(count, "the count")
-        if count < 0:
-            raise InputError("next_u64s() needs a non-negative count")
-        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        out = _mix(np.uint64(self.state) + steps)
+        if not 0 <= count <= _MAX_OUTPUTS:
+            raise InputError(f"next_u64s() needs a count in 0..{_MAX_OUTPUTS}, got {count}")
+        z = np.arange(1, count + 1, dtype=np.uint64)  # mixed in place
+        z *= _GAMMA_U64
+        z += np.uint64(self.state)
+        z ^= z >> 30
+        z *= _MUL1_U64
+        z ^= z >> 27
+        z *= _MUL2_U64
+        z ^= z >> 31
         self.state = (self.state + count * _GAMMA) & _MASK
-        return out
+        return z
 
     def below(self, n: int) -> int:
         """Draw from 0..n-1 by reduction of one 64-bit output."""
-        n = _index(n, "the bound")
+        if type(n) is not int:
+            n = _index(n, "the bound")
         if n < 1:
             raise InputError("below() needs a positive bound")
-        return self.next_u64() % n
+        # splitmix64's output function, written out: the library's most frequent scalar call
+        self.state = z = (self.state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return (z ^ (z >> 31)) % n
 
 
 def make_line(n: int) -> TransitionSystem:
@@ -188,38 +194,18 @@ def _minimally_distinguishing(cand: np.ndarray) -> np.ndarray:
     return (counts.reshape(k, m * n) < 2).all(axis=1)
 
 
-def _strongly_connected(cand: np.ndarray) -> np.ndarray:
-    """Which of the ``(K, n, m)`` tables have state 0 reaching, and reached from, every state."""
-    # each round rescans every edge, so this is only for the generator's small candidate tables
+def _moves_in_and_out(cand: np.ndarray) -> np.ndarray:
+    """Which of the ``(K, n, m)`` tables give every state an edge to, and one from, another state.
+
+    Every strongly connected table passes: this only rejects early, ``core`` decides.
+    """
     k, n, m = cand.shape
     if n == 1:
         return np.ones(k, dtype=bool)
-    # one pass first: a state with no edge to or from another state is cut off
     moving = cand != np.arange(n)[:, None]
     entered = np.bincount((cand + (np.arange(k) * n)[:, None, None])[moving],
                           minlength=k * n).reshape(k, n)
-    ok = moving.any(axis=2).all(axis=1) & (entered > 0).all(axis=1)
-    live = np.flatnonzero(ok)
-    if not live.size:
-        return ok
-    size = live.size * n
-    # the survivors as one graph, survivor i's states at i·n .. i·n+n-1, and its
-    # reverse at size + i·n ..: one closure from every state 0 reaches forward and back
-    src = np.repeat(np.arange(size), m)
-    dst = (cand[live] + (np.arange(live.size) * n)[:, None, None]).ravel()
-    tails = np.concatenate([src, dst + size])
-    heads = np.concatenate([dst, src + size])
-    seen = np.zeros(2 * size, dtype=bool)
-    seen[::n] = True
-    count = live.size * 2
-    while True:
-        seen[heads[seen[tails]]] = True
-        grown = np.count_nonzero(seen)
-        if grown == count:
-            break
-        count = grown
-    ok[live] = seen.reshape(2, live.size, n).all(axis=(0, 2))
-    return ok
+    return moving.any(axis=2).all(axis=1) & (entered > 0).all(axis=1)
 
 
 def make_random(n: int, m: int, seed: int,
@@ -236,13 +222,14 @@ def make_random(n: int, m: int, seed: int,
     stream outputs, so the time to give up does not grow with the table.
     ``n`` is at most ``MAX_STATES`` and ``m`` at most ``MAX_ACTIONS``; larger
     values raise ``InputError`` before anything is built or drawn.
-    Candidates are drawn and tested in numpy batches: the first holds about
-    ``_BATCH_DRAWS / 32`` stream outputs (at least one candidate), and each
-    next one four times as many candidates, up to ``_BATCH_DRAWS`` outputs;
-    but the stream is left just past the chosen candidate, as a
-    one-at-a-time loop would leave it. Labels: a pointed system gives state
-    0 the only "click"; otherwise the next ``n`` outputs give each state one
-    of two values, by parity.
+    Candidates are drawn in numpy batches (the first of about
+    ``_BATCH_DRAWS / 32`` stream outputs, then four times as many candidates,
+    up to ``_BATCH_DRAWS``) and tested in order by ``core``'s search, after
+    numpy filters for minimal distinction and, from the second batch on, for
+    a state with no edge to or from another. The stream is left just past the
+    chosen candidate, as a one-at-a-time loop would leave it. Labels: a
+    pointed system gives state 0 the only "click"; otherwise the next ``n``
+    outputs give each state one of two values, by parity.
     """
     n = _index(n, "the state count")
     m = _index(m, "the action count")
@@ -265,11 +252,16 @@ def make_random(n: int, m: int, seed: int,
         keep = np.arange(k)
         if require_min_dist:
             keep = keep[_minimally_distinguishing(cand)]
-        keep = keep[_strongly_connected(cand[keep])]
-        if keep.size:
-            won = int(keep[0])
+        # a small table's first batch usually holds a winner, and searching up to it costs
+        # about what the precheck's dozen numpy calls do; a later batch is prechecked
+        if tried:
+            keep = keep[_moves_in_and_out(cand[keep])]
+        found = next(((i, rows) for i in keep.tolist()
+                      if _strongly_connected(rows := cand[i].tolist())), None)
+        if found is not None:
+            won, delta = found
             rng.state = (start + (won + 1) * cells * _GAMMA) & _MASK
-            delta = cand[won].tolist()
+            del cand  # a large table's array is freed before the system is built from its rows
             break
         tried += k
         batch = min(4 * batch, max(1, _BATCH_DRAWS // cells))

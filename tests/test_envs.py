@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 from itertools import product
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+import dtslearn.core as core
 import dtslearn.envs as envs
 from dtslearn import (
     ArmSpec,
@@ -238,6 +240,22 @@ class TestRandom:
         with pytest.raises(GenerationError, match="^no admissible system found in 0 candidates"):
             make_random(100_000, 400, 1)  # not one candidate fits
 
+    def test_large_draw_peak_memory_per_cell(self):
+        # one 200,000-cell candidate: its draw, search and system, at about 50 bytes a cell
+        n, m = 1000, 200
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            env = make_random(n, m, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert env.n_states == n and is_strongly_connected(env)
+        assert peak / (n * m) <= 60
+
     def test_action_cap_raises_before_drawing(self):
         # 2^18 actions over 100 states would be one 26.2-million-cell candidate
         t0 = perf_counter()
@@ -303,6 +321,25 @@ def _random_tables(rng, n, m, count):
     return np.concatenate([uniform, loops, perms])
 
 
+def _cut_off(table):
+    """Whether some state of a 2-or-more-state table has no edge to, or none from, another state."""
+    n = len(table)
+    entered = {t for s, row in enumerate(table) for t in row if t != s}
+    stuck = any(all(t == s for t in row) for s, row in enumerate(table))
+    return n > 1 and (len(entered) < n or stuck)
+
+
+def _reachability_closure(tables):
+    """For each of the ``(K, n, m)`` tables, whether state i reaches state j, by matrix squaring."""
+    k, n, m = tables.shape
+    reach = np.zeros((k, n, n), dtype=np.int64)
+    reach[np.arange(k)[:, None, None], np.arange(n)[:, None], tables] = 1
+    reach |= np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        reach = np.minimum(reach @ reach, 1)
+    return reach.astype(bool)
+
+
 class TestBatchFilters:
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -310,12 +347,26 @@ class TestBatchFilters:
         rng = np.random.default_rng(1000 * n + m)
         tables = _random_tables(rng, n, m, 40)
         min_dist = envs._minimally_distinguishing(tables)
-        connected = envs._strongly_connected(tables)
+        moves = envs._moves_in_and_out(tables)
         names = tuple(f"u{a}" for a in range(m))
-        for table, md, sc in zip(tables.tolist(), min_dist, connected):
+        for table, md, ok in zip(tables.tolist(), min_dist, moves):
             sys = TransitionSystem(n, m, names, table)
             assert md == is_minimally_distinguishing(sys)[0]
-            assert sc == is_strongly_connected(sys)
+            # the precheck rejects exactly the tables with a cut-off state, never a connected one
+            assert ok == (not _cut_off(table))
+            assert ok or not is_strongly_connected(sys)
+
+    def test_search_matches_brute_force_reachability(self):
+        # every table of up to 4 states and 2 actions, 66,570 in all
+        for n, m in product(range(1, 5), (1, 2)):
+            tables = np.array(list(product(range(n), repeat=n * m))).reshape(-1, n, m)
+            expected = _reachability_closure(tables).all(axis=(1, 2)).tolist()
+            assert [core._strongly_connected(t) for t in tables.tolist()] == expected
+            assert n == 1 or (any(expected) and not all(expected))
+            if n <= 3:
+                names = tuple(f"u{a}" for a in range(m))
+                assert [is_strongly_connected(TransitionSystem(n, m, names, t))
+                        for t in tables.tolist()] == expected
 
 
 class TestRandomArguments:

@@ -115,8 +115,10 @@ CASES = {
     "learn min_depth": (lambda v: _learned(LINE, 0, 8, v), 4, ()),
     "verify_learned": (lambda v: verify_learned(LINE, v, MODEL), 0, (-1, 4)),
     "SplitMix64 seed": (lambda v: SplitMix64(v).next_u64(), 5, ()),
-    "SplitMix64.below": (lambda v: SplitMix64(1).below(v), 3, (-1,)),
-    "SplitMix64.next_u64s": (lambda v: SplitMix64(1).next_u64s(v).tolist(), 3, (-1,)),
+    "SplitMix64.below": (lambda v: SplitMix64(1).below(v), 3, (-1, 0)),
+    # more than 2^25 outputs at once is refused before any array is allocated
+    "SplitMix64.next_u64s": (lambda v: SplitMix64(1).next_u64s(v).tolist(), 3,
+                             (-1, 2**25 + 1, 2**45)),
     "make_line": (lambda v: make_line(v), 4, (-1,)),
     "make_cycle": (lambda v: make_cycle(v), 4, (-1,)),
     "ArmSpec joints": (lambda v: _arm(joints=v), 2, (-1,)),
