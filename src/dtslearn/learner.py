@@ -14,7 +14,9 @@ observation tree shared by all depths. One loop adds a suffix where two words
 of a row disagree or the hypothesis fails a test: sampled words, or under a
 bound the certificate suite (counterexamples reduced as in Rivest & Schapire).
 Where the complete trie of all words up to the depth has at most TRIE_NODES
-nodes, it is explored instead and split over a horizon: exact, and cheaper.
+nodes, the tree is filled to the depth instead, and the trie read off it is
+split over a horizon: exact, and cheaper. The tree is the run's only store of
+observations, so the oracle is never asked for a word it has already answered.
 """
 
 from __future__ import annotations
@@ -189,28 +191,20 @@ class HistoryTrie:
 def explore(env, x0: int | None, depth: int) -> HistoryTrie:
     """Record the observation at every action word of length up to ``depth``.
 
-    The environment is touched only through the stepping oracle, one
-    session per deepest word; observations of shorter words are read off
-    along the way.
+    A fill of a fresh observation tree (``_ObservationTable.fill``): the
+    environment is touched only through the stepping oracle, one session per
+    deepest word, and observations of shorter words are read off along the
+    way. ``learn`` passes its run's table instead, and the fill asks only for
+    the words that table's tree lacks.
     """
-    oracle = _as_oracle(env, x0)
+    table = env if isinstance(env, _ObservationTable) else _ObservationTable(_as_oracle(env, x0))
     depth = _index(depth, "depth")
     if depth < 0:
         raise InputError("depth must be non-negative")
-    m = oracle.n_actions
-    if count_nodes(m, depth) > EXPLORE_NODE_BUDGET:
+    if count_nodes(table.m, depth) > EXPLORE_NODE_BUDGET:
         raise InputError(
-            f"a depth-{depth} trie over {m} actions exceeds the node budget")
-    sessions = m ** depth
-    obs = oracle.start(sessions)
-    levels = [obs[::sessions].copy()]
-    for t in range(depth):
-        stride = m ** (depth - 1 - t)
-        # session i takes action (i // stride) % m: runs of stride, m^t times over
-        actions = np.tile(np.arange(m).repeat(stride), m ** t)
-        obs = oracle.step(actions)
-        levels.append(obs[::stride].copy())
-    return HistoryTrie(m, depth, oracle.action_names, oracle.label_names, tuple(levels))
+            f"a depth-{depth} trie over {table.m} actions exceeds the node budget")
+    return table.fill(depth)
 
 
 def bounded_indistinguishability(trie: HistoryTrie, horizon: int) -> Partition:
@@ -319,8 +313,12 @@ class _ObservationTable:
     action (0 if none), the sensor value seen at ``v`` (-1 until replayed) and
     ``parent·m + action``, so a word is spelled out only for the oracle. Node
     1 is the empty word, node 0 a blank whose children are itself. Nodes from
-    ``asked`` on wait for a replay. The representatives (the first word of each
-    row, breadth-first) and their successors' rows hold until a suffix is added.
+    ``asked`` on wait for a replay. ``levels`` holds the nodes of each complete
+    level and ``seen`` their observations, words in lexicographic order; the
+    levels that ``fill`` completes below the last one with nodes are kept as
+    observations alone until ``_child`` makes them nodes. The representatives
+    (the first word of each row, breadth-first) and their successors' rows hold
+    until a suffix is added.
     """
 
     def __init__(self, oracle: EnvOracle):
@@ -329,6 +327,7 @@ class _ObservationTable:
         self.tree = np.zeros((1024, self.m + 2), dtype=np.int32)
         self.tree[:, self.m] = -1
         self.size, self.asked = 2, 1
+        self.levels, self.seen = [np.ones(1, dtype=np.int64)], []
         self.suffixes = [()]  # suffixes only grow
         self._reset()
 
@@ -339,24 +338,83 @@ class _ObservationTable:
         self.known, self.reps, self.rep_len, self.expanded = {}, [1], [0], 0
         self.kids, self.targets, self.succ_rows = [], [], []
 
+    def _add(self, keys) -> np.ndarray:
+        """New placeholder nodes, one per distinct ``parent·m + action`` code; their ids."""
+        ids = np.arange(self.size, self.size + len(keys))
+        self.size += len(keys)
+        cap = len(self.tree)
+        if self.size > cap:  # grow by half until the nodes fit, so the capacity follows the size
+            while cap < self.size:
+                cap += cap // 2
+            old, self.tree = self.tree, np.empty((cap, self.m + 2), dtype=np.int32)
+            self.tree[:len(old)], self.tree[len(old):] = old, old[0]  # copies of the blank node 0
+        self.tree[np.divmod(keys, self.m)] = ids
+        self.tree[ids, self.m + 1] = keys
+        return ids
+
+    def _materialize(self):
+        """Nodes for the complete levels kept as observations alone, added as one block."""
+        m, levels, seen = self.m, self.levels, self.seen
+        first, p, b = len(levels), len(levels[-1]) * m, self.size
+        n = p * count_nodes(m, len(seen) - 1 - first)
+        # the p children of the last level with nodes, then child i % m of b + i // m is b + p + i
+        ids = self._add(np.concatenate([(levels[-1][:, None] * m + np.arange(m)).ravel(),
+                                        np.arange(b * m, b * m + n - p)]))
+        self.tree[ids, m] = np.concatenate(seen[first:])
+        levels += [ids[p * count_nodes(m, j - 1):p * count_nodes(m, j)]
+                   for j in range(len(seen) - first)]
+        self.asked = self.size
+
     def _child(self, cur, act, live=True) -> np.ndarray:
         """The child of each node under its action, added as a placeholder where missing and live."""
+        if len(self.seen) > len(self.levels):
+            self._materialize()
         kid = self.tree[cur, act]
         new = live & (kid == 0)
         if new.any():
             # sorted and deduplicated by hand: np.unique is several times slower
             # on these arrays and loads numpy.ma, 2 MiB, on its first call
             keys = np.sort(cur[new] * self.m + act[new])
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-            ids = np.arange(self.size, self.size + len(keys))
-            self.size += len(keys)
-            if self.size > len(self.tree):  # grow by copies of the blank node 0
-                blank = np.broadcast_to(self.tree[0], (self.size, self.m + 2))
-                self.tree = np.concatenate([self.tree, blank])
-            self.tree[keys // self.m, keys % self.m] = ids
-            self.tree[ids, self.m + 1] = keys
+            self._add(keys[np.concatenate(([True], keys[1:] != keys[:-1]))])
             kid = self.tree[cur, act]
         return kid
+
+    def fill(self, depth: int) -> HistoryTrie:
+        """Every word up to ``depth`` in the tree, one session asked per new leaf; the trie of them.
+
+        Level by level, each node of the last complete level gains its missing
+        children, and the new leaves are asked as any others are. Below a
+        level with no children yet every word is new: the sessions run through
+        the words of length ``depth`` in lexicographic order, each step's
+        actions one repeating pattern and its observations one level, and the
+        new levels are kept as observations alone.
+        """
+        m, levels, seen = self.m, self.levels, self.seen
+        while len(seen) <= len(levels) <= depth:  # no level is kept as observations alone
+            kids = self.tree.take(levels[-1], axis=0)[:, :m]
+            if not np.count_nonzero(kids):
+                break
+            missing = kids == 0
+            if missing.any():
+                kids[missing] = self._add((levels[-1][:, None] * m + np.arange(m))[missing])
+            levels.append(kids.ravel())
+        if len(levels) > depth:
+            if self.asked < self.size:
+                self._ask()
+            seen += [self.tree[ids, m] for ids in levels[len(seen):]]
+        elif len(seen) <= depth:
+            got = [self.oracle.start(m ** depth)[:1].copy()]
+            for t in range(depth):
+                stride = m ** (depth - 1 - t)
+                # session i takes action (i // stride) % m: runs of stride, m^t times over
+                obs = self.oracle.step(np.tile(np.arange(m).repeat(stride), m ** t))
+                got.append(obs[::stride].copy())
+            for ids, obs in zip(levels[len(seen):], got[len(seen):]):
+                self.tree[ids, m] = obs  # the new nodes of levels that had children
+            self.asked = self.size
+            seen += got[len(seen):]
+        return HistoryTrie(m, depth, self.oracle.action_names, self.oracle.label_names,
+                           tuple(seen[:depth + 1]))
 
     def _observe(self, starts, acts, lens) -> np.ndarray:
         """The sensor value after each start then its padded row of ``acts``, asking for new words.
@@ -376,7 +434,7 @@ class _ObservationTable:
         """Replay the new leaves (asked words no other extends), one batch per length."""
         m, tree = self.m, self.tree
         new = np.arange(self.asked, self.size, dtype=np.int32)
-        v = new[(tree[new, :m] == 0).all(1)]
+        v = new[(tree[self.asked:self.size, :m] == 0).all(1)]
         path = []  # the nodes j steps above each leaf
         while v.any():  # the root's parent code leads to the blank node 0
             path.append(v)
@@ -399,7 +457,7 @@ class _ObservationTable:
             level, length = np.array(self.reps[self.expanded:]), self.rep_len[-1] + 1
             self.expanded = len(self.reps)
             rows = self._observe(level[:, None], self.succ_acts, self.succ_lens)
-            kids = self.tree[level, :self.m].ravel().tolist()
+            kids = self.tree.take(level, axis=0)[:, :self.m].ravel().tolist()
             for w, row in zip(kids, rows.reshape(len(kids), -1)):
                 self.targets.append(self.known.setdefault(row.tobytes(), len(self.reps)))
                 if self.targets[-1] == len(self.reps):  # a new row
@@ -449,7 +507,7 @@ class _ObservationTable:
                 self.suffixes.append((b,) + self.suffixes[k])
                 self._reset()
                 continue
-            cover = np.concatenate([reps, kids, self.tree[kids[split], :m].ravel()])
+            cover = np.concatenate([reps, kids, self.tree.take(kids[split], axis=0)[:, :m].ravel()])
             states = np.concatenate([np.arange(n), targets, delta[targets[split]].ravel()])
             word = self._mismatch(cover, states, tests, lens, delta, self.tree[reps, m])
             if word is None:
@@ -726,7 +784,7 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
         raise InputError(f"a bound of {bound} states over {oracle.n_actions} actions needs "
                          f"suites of more than {SUITE_WORDS} words")
     resets0, steps0 = oracle.resets, oracle.steps
-    table = _ObservationTable(oracle)  # one query cache for every depth
+    table = _ObservationTable(oracle)  # the run's one observation tree, filled by every depth
     attempts: list[DepthAttempt] = []
     prev_model, prev_depth, converged = None, None, False
     for depth in range(2, (max_depth if bound is None else min(max_depth, 2 * bound + 2)) + 1, 2):
@@ -737,7 +795,7 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
             model, report, certified = table.build(depth, horizon, bound)
         else:  # a word the trie's candidate fails is not the table's to refine
             model, report, certified, _ = table.check(
-                *build_model(explore(oracle, None, depth), horizon), bound)
+                *build_model(explore(table, None, depth), horizon), bound)
         attempts.append(DepthAttempt(depth, horizon, method, report.ok, report.n_model_states,
                                      report.detail, oracle.resets - resets,
                                      oracle.steps - steps, perf_counter() - t0))

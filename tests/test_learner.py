@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from time import perf_counter
 
@@ -69,6 +70,45 @@ def trie_learn(env, x0, max_depth, min_depth=2):
             return model, prev_depth
         prev, prev_depth = model, depth
     return prev, None
+
+
+class ReplayCountingOracle(EnvOracle):
+    """An oracle that spells out each session's word from its start and step calls.
+
+    A session replays when its word equals, or is a prefix of, a word some
+    earlier session of the run asked for: the oracle could tell the learner
+    nothing new. ``replays()`` closes the last batch and returns the count.
+    """
+
+    def __init__(self, env, x0):
+        super().__init__(env, x0)
+        self.columns, self.sessions, self.replayed = [], 0, 0
+        self.seen = set()  # every prefix of every word asked, as bytes of int8 actions
+
+    def start(self, sessions):
+        self.replays()
+        out = super().start(sessions)
+        self.sessions = len(out)
+        return out
+
+    def step(self, actions):
+        out = super().step(actions)
+        self.columns.append(np.broadcast_to(np.asarray(actions, dtype=np.int8), out.shape))
+        return out
+
+    def replays(self) -> int:
+        words = np.column_stack(self.columns + [np.zeros((self.sessions, 0), dtype=np.int8)])
+        self.columns, self.sessions = [], 0
+        for word in words:
+            word = word.tobytes()
+            if word in self.seen:
+                self.replayed += 1
+                continue
+            for i in range(len(word), -1, -1):  # seen is prefix-closed
+                if word[:i] in self.seen:
+                    break
+                self.seen.add(word[:i])
+        return self.replayed
 
 
 def random_trie(rng, m, k, depth):
@@ -440,6 +480,7 @@ class TestLearn:
         assert report.converged and report.depth_converged <= 2 * n
         assert are_isomorphic(env, model, anchored=True)[0]
         summary = report.summary()
+        assert report.oracle_resets < 17000  # depth 2's suite, then only words the tree lacks
         assert f"certified at depth {report.depth_converged}" in summary
         assert f"at most {n} states" in summary
 
@@ -484,23 +525,79 @@ class TestLearn:
         assert are_isomorphic(env, model, anchored=True)[0]
 
     def test_golden_digest(self):
-        # models, stops and every depth's record but its seconds, unbounded and
-        # under a bound of n states; a refactor of the learner must keep them all
+        # models, stops and every depth's outcome, unbounded and under a bound of
+        # n states; a refactor of the learner must keep them all
         digest = hashlib.sha256()
-        for env, x0, bounded in _digest_learns():
-            n = env.n_states
-            model, report = learn(env, x0, 2 * n + 6, min_depth=2 * n if bounded else 2)
-            records = [(a.depth, a.horizon, a.method, a.ok, a.n_states, a.detail, a.resets,
-                        a.steps) for a in report.attempts]
+        for model, report in _digest_runs():
+            records = [(a.depth, a.horizon, a.method, a.ok, a.n_states, a.detail)
+                       for a in report.attempts]
             digest.update(repr((model, report.converged, report.depth_converged,
-                                report.depth_stopped, report.oracle_resets, report.oracle_steps,
-                                report.bound, records)).encode())
+                                report.depth_stopped, report.bound, records)).encode())
         assert digest.hexdigest() == GOLDEN_LEARN_DIGEST
 
+    def test_golden_oracle_counts(self):
+        # every depth's resets and steps in the same learns: what the oracle was asked
+        digest = hashlib.sha256()
+        for _, report in _digest_runs():
+            digest.update(repr([(a.resets, a.steps) for a in report.attempts]).encode())
+        assert digest.hexdigest() == GOLDEN_COUNT_DIGEST
 
-# sha256 of test_golden_digest's records, computed before the sampled tests and
-# the certificate shared one refinement loop in the observation table
-GOLDEN_LEARN_DIGEST = "990810fff85d10df4cf88cc3eab55140f37f317f816ca2db673c2ff26d26f740"
+    def test_no_golden_learn_asks_more_than_with_a_separate_trie(self):
+        for (_, report), (resets, steps) in zip(_digest_runs(), SEPARATE_TRIE_COUNTS, strict=True):
+            assert report.oracle_resets <= resets and report.oracle_steps <= steps
+
+    def test_no_word_is_asked_twice(self):
+        # one observation tree holds every answer of a run: trie depths, tables and
+        # suites all read it first, so no session repeats or shortens an earlier one
+        probe = ReplayCountingOracle(make_line(4), 0)
+        for word in ([1, 0], [1, 0, 1], [1, 0], [1], [0]):
+            probe.walk(word)
+        assert probe.replays() == 2  # the second [1, 0], and [1]
+        n = 14  # the combination lock under a bound of n states
+        lock = TransitionSystem.from_tables(
+            ("r", "w"), [[min(i + 1, n - 1), 0] for i in range(n)],
+            ["blank"] * (n - 1) + ["click"], 0)
+        arm = make_arm(ArmSpec(2, 6, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        runs = [(lock, 0, 2 * n + 6, 2 * n), (arm, arm.initial, 68, 2)]
+        rng = SplitMix64(41)
+        for k in range(20):
+            env = make_random(5 + k % 3, 2, rng.next_u64(), pointed=bool(k % 2))
+            runs += [(env, 0, 2 * env.n_states + 6, floor) for floor in (2, 2 * env.n_states)]
+        for env, x0, max_depth, min_depth in runs:
+            oracle = ReplayCountingOracle(env, x0)
+            _, report = learn(oracle, None, max_depth, min_depth=min_depth)
+            assert report.oracle_resets > 0
+            assert oracle.replays() == 0, (env.n_states, min_depth)
+
+
+# sha256 of test_golden_digest's records
+GOLDEN_LEARN_DIGEST = "7a565e730887e7cf4d67f67b40c421113b5619198fb154a4496cd5a61034e762"
+# sha256 of test_golden_oracle_counts's records: 465,577 resets and 4,257,030 steps in all
+GOLDEN_COUNT_DIGEST = "0e3562417d6b83e326c6bfd96d1bf5b17f8365c9e690e3b2cf62b5bd6c6cdbd3"
+# (resets, steps) of each golden learn while the trie depths explored a trie of their
+# own, apart from the table's tree: 490,919 resets and 4,441,067 steps in all
+SEPARATE_TRIE_COUNTS = (
+    (77804, 816934), (14637, 109320), (102601, 1123305), (22833, 191068), (7133, 45128),
+    (4406, 25779), (272, 1056), (356, 1284), (6289, 38632), (4394, 25714), (7380, 57204),
+    (828, 4754), (84, 456), (32, 116), (9027, 70555), (7425, 57402), (1364, 12744),
+    (356, 2596), (5460, 61896), (1376, 12802), (12322, 106455), (7627, 58548), (10821, 75680),
+    (4757, 27588), (8804, 68613), (7419, 57358), (9049, 70879), (7425, 57408), (7380, 57204),
+    (837, 4774), (84, 456), (24, 84), (1364, 12744), (352, 2564), (84, 456), (23, 77),
+    (819, 4716), (95, 350), (272, 1056), (36, 68), (7380, 57204), (837, 4778), (4368, 25632),
+    (279, 1067), (7380, 57204), (841, 4803), (7233, 45112), (4406, 25773), (8804, 69071),
+    (7419, 57370), (20, 72), (34, 106), (340, 2504), (114, 602), (8775, 68638), (7419, 57351),
+    (84, 456), (23, 77), (8575, 66783), (7413, 57335), (6261, 39008), (4394, 25720),
+    (5460, 61896), (1399, 12936), (6518, 70594), (9598, 103606), (21894, 259546))
+
+
+@functools.cache
+def _digest_runs():
+    """The golden learns' models and reports, run once for the tests that read them."""
+    runs = []
+    for env, x0, bounded in _digest_learns():
+        n = env.n_states
+        runs.append(learn(env, x0, 2 * n + 6, min_depth=2 * n if bounded else 2))
+    return tuple(runs)
 
 
 def _digest_learns():
