@@ -7,12 +7,18 @@ are pure functions, so values can be shared freely between threads.
 An id or a count is anything ``operator.index`` accepts, numpy integers
 included; anything else, and any id out of range, raises ``InputError``.
 Every module checks its arguments through ``_index`` and ``_ids`` here.
+Tables are checked in every cell, by whole-table builtin scans (entry types,
+row lengths, least and greatest entry); only when a scan fails does a
+per-cell loop run, to name the first offender in the error message.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import chain
+
+_INT = frozenset((int,))
 
 
 class DtsError(Exception):
@@ -58,6 +64,37 @@ def _ids(values, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise InputError(f"{what} must be integers") from None
+
+
+def _id_tuple(values, what: str) -> tuple[int, ...]:
+    """``_ids``, but a tuple of plain ints is kept after one scan of its entry types."""
+    if type(values) is tuple and _INT.issuperset(map(type, values)):
+        return values
+    return _ids(values, what)
+
+
+def _id_rows(rows, what: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``rows`` as int tuples, and all their entries in one tuple.
+
+    Plain ints pass by one scan of the entries' types; anything else goes
+    through ``_ids`` row by row.
+    """
+    rows = tuple(rows)
+    try:
+        rows = tuple(map(tuple, rows))
+        cells = tuple(chain.from_iterable(rows))
+        if _INT.issuperset(map(type, cells)):
+            return rows, cells
+    except TypeError:  # a row that is not iterable: _ids names it
+        pass
+    table = tuple(_ids(row, what) for row in rows)
+    return table, tuple(chain.from_iterable(table))
+
+
+def _relabeled_rows(delta, states, new_id) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``states``, in that order, with each entry ``t`` read as ``new_id[t]``."""
+    cells = map(new_id.__getitem__, chain.from_iterable(map(delta.__getitem__, states)))
+    return tuple(zip(*[cells] * len(delta[0])))  # the cells, one row's worth at a time
 
 
 def intern_names(keys) -> tuple[tuple[int, ...], tuple]:
@@ -107,9 +144,10 @@ class TransitionSystem:
         object.__setattr__(self, "n_states", _index(self.n_states, "n_states"))
         object.__setattr__(self, "n_actions", _index(self.n_actions, "n_actions"))
         object.__setattr__(self, "action_names", tuple(self.action_names))
-        object.__setattr__(self, "delta", tuple(_ids(row, "delta entries") for row in self.delta))
+        delta, cells = _id_rows(self.delta, "delta entries")
+        object.__setattr__(self, "delta", delta)
         if self.labels is not None:
-            object.__setattr__(self, "labels", _ids(self.labels, "labels"))
+            object.__setattr__(self, "labels", _id_tuple(self.labels, "labels"))
         if self.label_names is not None:
             object.__setattr__(self, "label_names", tuple(self.label_names))
         if self.initial is not None:
@@ -124,14 +162,16 @@ class TransitionSystem:
             raise InputError("action names must be pairwise distinct")
         if any(not name for name in self.action_names):
             raise InputError("action names must be non-empty")
-        if len(self.delta) != self.n_states:
+        if len(delta) != self.n_states:
             raise InputError("delta must have one row per state")
-        for s, row in enumerate(self.delta):
-            if len(row) != self.n_actions:
-                raise InputError(f"delta row for state {s} must have one entry per action")
-            for a, t in enumerate(row):
-                if not 0 <= t < self.n_states:
-                    raise InputError(f"delta({s},{a})={t} is out of range")
+        if not ({self.n_actions}.issuperset(map(len, delta))
+                and 0 <= min(cells) and max(cells) < self.n_states):
+            for s, row in enumerate(delta):  # a scan failed: name the first offender
+                if len(row) != self.n_actions:
+                    raise InputError(f"delta row for state {s} must have one entry per action")
+                for a, t in enumerate(row):
+                    if not 0 <= t < self.n_states:
+                        raise InputError(f"delta({s},{a})={t} is out of range")
         if (self.labels is None) != (self.label_names is None):
             raise InputError("labels and label_names must be given together")
         if self.labels is not None:
@@ -189,12 +229,14 @@ class StateMap:
     def __post_init__(self):
         object.__setattr__(self, "source_size", _index(self.source_size, "source_size"))
         object.__setattr__(self, "target_size", _index(self.target_size, "target_size"))
-        object.__setattr__(self, "map", _ids(self.map, "map entries"))
-        if len(self.map) != self.source_size:
+        entries = _id_tuple(self.map, "map entries")
+        object.__setattr__(self, "map", entries)
+        if len(entries) != self.source_size:
             raise InputError("map must assign a target to every source state")
-        for s, t in enumerate(self.map):
-            if not 0 <= t < self.target_size:
-                raise InputError(f"map({s})={t} is out of range")
+        if entries and not (0 <= min(entries) and max(entries) < self.target_size):
+            for s, t in enumerate(entries):  # a scan failed: name the first offender
+                if not 0 <= t < self.target_size:
+                    raise InputError(f"map({s})={t} is out of range")
 
     def __call__(self, s: int) -> int:
         return self.map[_index(s, "state", self.source_size)]
@@ -296,8 +338,10 @@ def canonical_form(sys: TransitionSystem, anchor: int) -> tuple[TransitionSystem
     if len(bfs) != sys.n_states:
         missing = order.index(-1)
         raise NotConnectedError(f"state {missing} is unreachable from anchor {anchor}")
-    new_delta = tuple(tuple(order[sys.delta[s][a]] for a in range(sys.n_actions)) for s in bfs)
-    names = None if sys.labels is None else [sys.label_names[sys.labels[s]] for s in bfs]
+    new_delta = _relabeled_rows(sys.delta, bfs, order)
+    names = None
+    if sys.labels is not None:
+        names = list(map(sys.label_names.__getitem__, map(sys.labels.__getitem__, bfs)))
     initial = None if sys.initial is None else order[sys.initial]
     out = TransitionSystem.from_tables(sys.action_names, new_delta, names, initial)
     return out, StateMap(sys.n_states, sys.n_states, tuple(order))

@@ -18,6 +18,8 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import DtsError, InputError, TransitionSystem, _index
 from .partitions import Partition
 
@@ -30,11 +32,12 @@ class ParseError(DtsError):
         self.line_no = line_no
 
 
-def _content_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
+def _content_lines(numbered):
+    """The line number and tokens of each ``(line number, line)`` with content."""
+    for line_no, raw in numbered:
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
 
 
 def _parse_count(token: str, line_no: int, what: str) -> int:
@@ -47,9 +50,26 @@ def _parse_count(token: str, line_no: int, what: str) -> int:
     return value
 
 
+def _transition(tokens: list[str], line_no: int, n_states: int, action_index: dict) -> tuple:
+    """``(s, a, t)`` from a content line of the transition section, or its ParseError."""
+    if tokens[0] != "trans":
+        raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
+    if len(tokens) != 4:
+        raise ParseError(line_no, "expected 'trans S ACT T'")
+    s = _parse_count(tokens[1], line_no, "source state")
+    t = _parse_count(tokens[3], line_no, "target state")
+    if s >= n_states or t >= n_states:
+        raise ParseError(line_no, f"state index out of range in {' '.join(tokens)!r}")
+    a = action_index.get(tokens[2])
+    if a is None:
+        raise ParseError(line_no, f"unknown action {tokens[2]!r}")
+    return s, a, t
+
+
 def parse_dts(text: str) -> TransitionSystem:
     """Parse the line format above into a validated system."""
-    lines = _content_lines(text)
+    numbered = enumerate(text.splitlines(), start=1)  # its list is freed once read through
+    lines = _content_lines(numbered)
 
     def next_line(expect: str):
         for line_no, tokens in lines:
@@ -93,35 +113,33 @@ def parse_dts(text: str) -> TransitionSystem:
         line_no, tokens = next_line("'trans'")
 
     action_index = {name: a for a, name in enumerate(action_names)}
-    table: list[list[int | None]] = [[None] * len(action_names) for _ in range(n_states)]
-    pending = n_states * len(action_names)
-    while True:
-        if tokens[0] != "trans":
-            raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
-        if len(tokens) != 4:
-            raise ParseError(line_no, "expected 'trans S ACT T'")
-        s = _parse_count(tokens[1], line_no, "source state")
-        t = _parse_count(tokens[3], line_no, "target state")
-        if s >= n_states or t >= n_states:
-            raise ParseError(line_no, f"state index out of range in {' '.join(tokens)!r}")
-        a = action_index.get(tokens[2])
-        if a is None:
-            raise ParseError(line_no, f"unknown action {tokens[2]!r}")
-        if table[s][a] is not None:
+    n_actions = len(action_names)
+    table: list[int | None] = [None] * (n_states * n_actions)  # the cell of (s, a) is s*m + a
+    # a plain 'trans S ACT T' line is checked inline; any other line, and any
+    # line that fails, goes through _transition, which raises its ParseError
+    for line_no, raw in chain([(line_no, " ".join(tokens))], numbered):
+        try:
+            word, s, name, t = raw.split()
+            s, a, t = int(s), action_index[name], int(t)
+        except (ValueError, KeyError):
+            word = None
+        if word != "trans" or not 0 <= s < n_states > t >= 0:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            s, a, t = _transition(tokens, line_no, n_states, action_index)
+        cell = s * n_actions + a
+        if table[cell] is not None:
             raise ParseError(line_no, f"duplicate transition for state {s}, "
-                                      f"action {tokens[2]!r}")
-        table[s][a] = t
-        pending -= 1
-        rest = next(lines, None)
-        if rest is None:
-            break
-        line_no, tokens = rest
-    if pending:
-        s, a = next((s, a) for s in range(n_states) for a in range(len(action_names))
-                    if table[s][a] is None)
-        raise ParseError(line_no, f"missing transition for state {s}, "
-                                  f"action {action_names[a]!r}")
-    return TransitionSystem.from_tables(action_names, table, state_labels, initial)
+                                      f"action {action_names[a]!r}")
+        table[cell] = t
+        last = line_no
+    if None in table:
+        s, a = divmod(table.index(None), n_actions)
+        raise ParseError(last, f"missing transition for state {s}, "
+                               f"action {action_names[a]!r}")
+    rows = tuple(zip(*[iter(table)] * n_actions))  # the cells, n_actions at a time
+    return TransitionSystem.from_tables(action_names, rows, state_labels, initial)
 
 
 def write_dts(sys: TransitionSystem) -> str:
@@ -141,7 +159,7 @@ def parse_partition(text: str) -> Partition:
     """One block per line, space-separated state indices."""
     blocks = []
     n_states = 0
-    for line_no, tokens in _content_lines(text):
+    for line_no, tokens in _content_lines(enumerate(text.splitlines(), start=1)):
         block = [_parse_count(tok, line_no, "state index") for tok in tokens]
         blocks.append(block)
         n_states += len(block)
@@ -163,7 +181,7 @@ def parse_obstacles(text: str, joints: int, resolution: int) -> frozenset[tuple[
     joints = _index(joints, "joints")
     resolution = _index(resolution, "resolution")
     out = set()
-    for line_no, tokens in _content_lines(text):
+    for line_no, tokens in _content_lines(enumerate(text.splitlines(), start=1)):
         if len(tokens) != joints:
             raise ParseError(line_no, f"expected {joints} joint positions")
         conf = tuple(_parse_count(tok, line_no, "joint position") for tok in tokens)

@@ -1,6 +1,9 @@
+import operator
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtslearn import (
     InputError,
@@ -73,6 +76,142 @@ class TestValidation:
         sys = TransitionSystem.from_tables(("a",), [[1], [0]], ["hot", "cold"])
         assert sys.labels == (0, 1)
         assert sys.label_names == ("hot", "cold")
+
+
+def reference_delta_error(n, m, delta):
+    """A per-cell scan of a delta table: the InputError text for its first bad cell, else None."""
+    rows = []
+    for row in delta:
+        try:
+            rows.append(tuple(operator.index(t) for t in row))
+        except TypeError:
+            return "delta entries must be integers"
+    if len(rows) != n:
+        return "delta must have one row per state"
+    for s, row in enumerate(rows):
+        if len(row) != m:
+            return f"delta row for state {s} must have one entry per action"
+        for a, t in enumerate(row):
+            if not 0 <= t < n:
+                return f"delta({s},{a})={t} is out of range"
+    return None
+
+
+def reference_map_error(source_size, target_size, entries):
+    """A per-cell scan of a state map: the InputError text for its first bad entry, else None."""
+    try:
+        entries = tuple(operator.index(t) for t in entries)
+    except TypeError:
+        return "map entries must be integers"
+    if len(entries) != source_size:
+        return "map must assign a target to every source state"
+    for s, t in enumerate(entries):
+        if not 0 <= t < target_size:
+            return f"map({s})={t} is out of range"
+    return None
+
+
+BAD_CELLS = ["none", "above", "negative", "float", "bool", "numpy", "extra", "missing"]
+
+
+@st.composite
+def bad_cell(draw, values: list, n: int):
+    """``values`` with at most one cell made bad, in place; returns the kind."""
+    kind = draw(st.sampled_from(BAD_CELLS))
+    i = draw(st.integers(0, max(len(values) - 1, 0)))
+    if kind == "extra":
+        values.insert(i, draw(st.integers(0, n)))
+    elif not values:
+        return "none"
+    elif kind == "missing":
+        del values[i]
+    elif kind == "above":
+        values[i] = n + draw(st.integers(0, 3))
+    elif kind == "negative":
+        values[i] = -1 - draw(st.integers(0, 3))
+    elif kind == "float":
+        values[i] = float(values[i])
+    elif kind == "bool":
+        values[i] = draw(st.booleans())
+    elif kind == "numpy":
+        values[i] = draw(st.sampled_from([np.int64, np.int32, np.uint8]))(draw(st.integers(0, n + 1)))
+    return kind
+
+
+@st.composite
+def tables_with_one_bad_cell(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    delta = [[draw(st.integers(0, n - 1)) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):  # a bad cell: out of range, not an int, or a short or long row
+        draw(bad_cell(delta[draw(st.integers(0, n - 1))], n))
+    elif draw(st.booleans()):  # a missing or an extra row
+        if draw(st.booleans()):
+            del delta[draw(st.integers(0, n - 1))]
+        else:
+            delta.insert(draw(st.integers(0, n)), [0] * m)
+    row_type = draw(st.sampled_from([tuple, list]))
+    return n, m, draw(st.sampled_from([tuple, list]))(map(row_type, delta))
+
+
+@st.composite
+def maps_with_one_bad_entry(draw):
+    source_size, target_size = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = [draw(st.integers(0, max(target_size - 1, 0))) for _ in range(source_size)]
+    draw(bad_cell(entries, target_size))
+    return source_size, target_size, draw(st.sampled_from([tuple, list]))(entries)
+
+
+class TestWholeTableChecks:
+    """Whole-table scans raise what a per-cell scan would, or accept with plain int ids."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(tables_with_one_bad_cell())
+    def test_transition_system_matches_a_per_cell_scan(self, case):
+        n, m, delta = case
+        names = tuple(f"u{a}" for a in range(m))
+        expected = reference_delta_error(n, m, delta)
+        if expected is not None:
+            with pytest.raises(InputError) as info:
+                TransitionSystem(n, m, names, delta)
+            assert str(info.value) == expected
+            return
+        sys = TransitionSystem(n, m, names, delta)
+        assert sys.delta == tuple(tuple(map(operator.index, row)) for row in delta)
+        assert type(sys.delta) is tuple and all(type(row) is tuple for row in sys.delta)
+        assert all(type(t) is int for row in sys.delta for t in row)
+
+    @settings(max_examples=500, deadline=None)
+    @given(maps_with_one_bad_entry())
+    def test_state_map_matches_a_per_cell_scan(self, case):
+        source_size, target_size, entries = case
+        expected = reference_map_error(source_size, target_size, entries)
+        if expected is not None:
+            with pytest.raises(InputError) as info:
+                StateMap(source_size, target_size, entries)
+            assert str(info.value) == expected
+            return
+        mapping = StateMap(source_size, target_size, entries)
+        assert mapping.map == tuple(map(operator.index, entries))
+        assert type(mapping.map) is tuple and all(type(t) is int for t in mapping.map)
+
+    @pytest.mark.parametrize("labels, expected", [
+        ((0, True), (0, 1)), ((np.int64(0), 1), (0, 1)), ([0, np.uint8(1)], (0, 1)),
+        ((0, 1.0), "labels must be integers"), ((0, "1"), "labels must be integers"),
+    ])
+    def test_labels_match_a_per_cell_scan(self, labels, expected):
+        build = lambda: TransitionSystem(2, 1, ("a",), ((0,), (1,)), labels, ("x", "y"))
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=expected):
+                build()
+        else:
+            got = build().labels
+            assert got == expected and all(type(t) is int for t in got)
+
+    def test_rows_that_are_not_iterable(self):
+        with pytest.raises(InputError, match="delta entries must be integers"):
+            TransitionSystem(2, 1, ("a",), ((0,), 1))
+        sys = TransitionSystem(2, 1, ("a",), iter([iter([1]), np.array([0])]))
+        assert sys.delta == ((1,), (0,))
 
 
 class TestStar:

@@ -95,6 +95,68 @@ class TestParseDts:
             raise AssertionError("expected a parse error")
 
 
+PINNED_HEAD = "dts\nstates 3\nactions L R\nlabels a b b\ninit 0\n"
+PINNED_BODY = ["trans 0 L 0", "trans 0 R 1", "trans 1 L 0",
+               "trans 1 R 2", "trans 2 L 1", "trans 2 R 2"]
+PINNED_NOISE = ["", "# a comment", "   ", "  # indented comment"]
+
+# name: (bad line or None, where the noise and the bad line go among the
+# transitions, transition dropped or None, the first ParseError's text).
+# Recorded from the parser that checked each token with _parse_count.
+PINNED_ERRORS = {
+    "unknown directive": ("loop 0", 2, None, "line 12: unknown directive 'loop'"),
+    "unknown directive first": ("loop 0", 0, None, "line 10: unknown directive 'loop'"),
+    "arity short": ("trans 0 L", 3, None, "line 13: expected 'trans S ACT T'"),
+    "arity long": ("trans 0 L 0 1", 3, None, "line 13: expected 'trans S ACT T'"),
+    "arity long commented": ("trans 0 L 0 1 # x", 3, None, "line 13: expected 'trans S ACT T'"),
+    "non-integer source": ("trans x L 0", 3, None,
+                           "line 13: source state must be an integer, got 'x'"),
+    "non-integer target": ("trans 0 L 1.0", 3, None,
+                           "line 13: target state must be an integer, got '1.0'"),
+    "negative source": ("trans -1 L 0", 3, None, "line 13: source state -1 is out of range"),
+    "beyond format bound": ("trans 0 L 1000000001", 3, None,
+                            "line 13: target state 1000000001 is out of range"),
+    "out of range target": ("trans 0 L 3", 3, None,
+                            "line 13: state index out of range in 'trans 0 L 3'"),
+    "out of range source": ("trans 3 L 0", 3, None,
+                            "line 13: state index out of range in 'trans 3 L 0'"),
+    "unknown action": ("trans 0 X 0", 3, None, "line 13: unknown action 'X'"),
+    "duplicate": ("trans 0 L 2", 4, None,
+                  "line 14: duplicate transition for state 0, action 'L'"),
+    "duplicate commented": ("trans 0 L 2 # again", 4, None,
+                            "line 14: duplicate transition for state 0, action 'L'"),
+    "missing": (None, 2, 5, "line 14: missing transition for state 2, action 'R'"),
+    "missing, trailing noise": (None, 5, 2,
+                                "line 10: missing transition for state 1, action 'L'"),
+}
+
+
+class TestPinnedParseErrors:
+    """The first error of each kind: its line number and full text, after blank and comment lines."""
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("name", list(PINNED_ERRORS))
+    def test_first_error(self, name, eol):
+        bad, at, drop, expected = PINNED_ERRORS[name]
+        body = [line for i, line in enumerate(PINNED_BODY) if i != drop]
+        body[at:at] = PINNED_NOISE + ([] if bad is None else [bad])
+        text = (PINNED_HEAD + "\n".join(body) + "\n").replace("\n", eol)
+        with pytest.raises(ParseError) as info:
+            parse_dts(text)
+        assert str(info.value) == expected
+        assert info.value.line_no == int(expected.split(":")[0].split()[1])
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_noisy_valid_text_parses(self, eol):
+        body = list(PINNED_BODY)
+        body[3:3] = PINNED_NOISE
+        body[0] += "  # trailing comment"
+        text = (PINNED_HEAD + "\n".join(body) + "\n").replace("\n", eol)
+        expected = TransitionSystem.from_tables(
+            ("L", "R"), [[0, 1], [0, 2], [1, 2]], ["a", "b", "b"], 0)
+        assert parse_dts(text) == expected
+
+
 class TestRoundTrip:
     def test_line_text_is_canonical(self):
         assert write_dts(make_line(4)) == LINE4_TEXT

@@ -321,6 +321,41 @@ class TestQuotient:
             with pytest.raises(PreconditionError, match="label"):
                 quotient(env, e)
 
+    def test_label_conflict_names_the_lowest_block_first(self):
+        # one action into state 0, so every partition is sufficient. Block 0 = {0, 3}
+        # differs at state 3 and block 1 = {1, 2} at state 2: the witness is the
+        # lowest-numbered block's pair, not the lowest-numbered differing state
+        env = TransitionSystem.from_tables(("a",), [[0]] * 4, ["p", "p", "q", "q"])
+        with pytest.raises(PreconditionError) as info:
+            quotient(env, Partition.from_blocks(4, [[0, 3], [1, 2]]))
+        assert str(info.value) == ("partition is not label-closed: states 0 and 3 are "
+                                   "equivalent but carry different labels")
+
+    def test_label_conflict_witness_matches_a_block_by_block_scan(self):
+        rng = SplitMix64(27)
+        conflicts = 0
+        for _ in range(300):
+            n = 2 + rng.below(7)
+            names = [("p", "q", "r")[rng.below(3)] for _ in range(n)]
+            env = TransitionSystem.from_tables(("a",), [[0]] * n, names)
+            e = rand_partition(rng, n)
+            expected = None  # the first block with two labels, at its first odd state
+            for block in e.blocks():
+                odd = [s for s in block if names[s] != names[block[0]]]
+                if odd:
+                    expected = (f"partition is not label-closed: states {block[0]} and "
+                                f"{odd[0]} are equivalent but carry different labels")
+                    break
+            if expected is None:
+                q, _ = quotient(env, e)
+                assert q.n_states == e.n_blocks
+                continue
+            conflicts += 1
+            with pytest.raises(PreconditionError) as info:
+                quotient(env, e)
+            assert str(info.value) == expected
+        assert conflicts > 100
+
     def test_projection_is_homomorphism(self):
         from dtslearn import is_homomorphism
 
