@@ -7,18 +7,16 @@ are pure functions, so values can be shared freely between threads.
 An id or a count is anything ``operator.index`` accepts, numpy integers
 included; anything else, and any id out of range, raises ``InputError``.
 Every module checks its arguments through ``_index`` and ``_ids`` here.
-Tables are checked in every cell, by whole-table builtin scans (entry types,
-row lengths, least and greatest entry); only when a scan fails does a
-per-cell loop run, to name the first offender in the error message.
+Every cell of a table is checked, by whole-table builtin scans; only when a
+scan fails does a per-cell loop run, to name the first offender.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain
-
-_INT = frozenset((int,))
 
 
 class DtsError(Exception):
@@ -59,34 +57,23 @@ def _index(value, what: str, bound: int | None = None) -> int:
 
 
 def _ids(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints, by ``operator.index``; else ``InputError``."""
+    """``values`` as a tuple of ints, by ``operator.index`` (plain-int tuples as they are)."""
+    if type(values) is tuple and {int}.issuperset(map(type, values)):
+        return values
     try:
         return tuple(map(operator.index, values))
     except TypeError:
         raise InputError(f"{what} must be integers") from None
 
 
-def _id_tuple(values, what: str) -> tuple[int, ...]:
-    """``_ids``, but a tuple of plain ints is kept after one scan of its entry types."""
-    if type(values) is tuple and _INT.issuperset(map(type, values)):
-        return values
-    return _ids(values, what)
-
-
 def _id_rows(rows, what: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """``rows`` as int tuples, and all their entries in one tuple.
-
-    Plain ints pass by one scan of the entries' types; anything else goes
-    through ``_ids`` row by row.
-    """
+    """``rows`` as int tuples and their cells; ``_ids`` row by row unless all are plain ints."""
     rows = tuple(rows)
-    try:
+    with suppress(TypeError):  # a row that is not iterable: _ids names it
         rows = tuple(map(tuple, rows))
         cells = tuple(chain.from_iterable(rows))
-        if _INT.issuperset(map(type, cells)):
+        if {int}.issuperset(map(type, cells)):
             return rows, cells
-    except TypeError:  # a row that is not iterable: _ids names it
-        pass
     table = tuple(_ids(row, what) for row in rows)
     return table, tuple(chain.from_iterable(table))
 
@@ -147,7 +134,7 @@ class TransitionSystem:
         delta, cells = _id_rows(self.delta, "delta entries")
         object.__setattr__(self, "delta", delta)
         if self.labels is not None:
-            object.__setattr__(self, "labels", _id_tuple(self.labels, "labels"))
+            object.__setattr__(self, "labels", _ids(self.labels, "labels"))
         if self.label_names is not None:
             object.__setattr__(self, "label_names", tuple(self.label_names))
         if self.initial is not None:
@@ -168,7 +155,8 @@ class TransitionSystem:
                 and 0 <= min(cells) and max(cells) < self.n_states):
             for s, row in enumerate(delta):  # a scan failed: name the first offender
                 if len(row) != self.n_actions:
-                    raise InputError(f"delta row for state {s} must have one entry per action")
+                    raise InputError(
+                        f"delta row for state {s} must have one entry per action")
                 for a, t in enumerate(row):
                     if not 0 <= t < self.n_states:
                         raise InputError(f"delta({s},{a})={t} is out of range")
@@ -229,8 +217,7 @@ class StateMap:
     def __post_init__(self):
         object.__setattr__(self, "source_size", _index(self.source_size, "source_size"))
         object.__setattr__(self, "target_size", _index(self.target_size, "target_size"))
-        entries = _id_tuple(self.map, "map entries")
-        object.__setattr__(self, "map", entries)
+        object.__setattr__(self, "map", entries := _ids(self.map, "map entries"))
         if len(entries) != self.source_size:
             raise InputError("map must assign a target to every source state")
         if entries and not (0 <= min(entries) and max(entries) < self.target_size):
@@ -249,7 +236,7 @@ class StateMap:
         if other.target_size != self.source_size:
             raise InputError("sizes do not compose")
         return StateMap(other.source_size, self.target_size,
-                        tuple(self.map[t] for t in other.map))
+                        tuple(map(self.map.__getitem__, other.map)))
 
     def inverse(self) -> "StateMap":
         if self.source_size != self.target_size or not self.is_surjective():
@@ -339,9 +326,7 @@ def canonical_form(sys: TransitionSystem, anchor: int) -> tuple[TransitionSystem
         missing = order.index(-1)
         raise NotConnectedError(f"state {missing} is unreachable from anchor {anchor}")
     new_delta = _relabeled_rows(sys.delta, bfs, order)
-    names = None
-    if sys.labels is not None:
-        names = list(map(sys.label_names.__getitem__, map(sys.labels.__getitem__, bfs)))
+    names = None if sys.labels is None else [sys.label_names[sys.labels[s]] for s in bfs]
     initial = None if sys.initial is None else order[sys.initial]
     out = TransitionSystem.from_tables(sys.action_names, new_delta, names, initial)
     return out, StateMap(sys.n_states, sys.n_states, tuple(order))
@@ -349,9 +334,7 @@ def canonical_form(sys: TransitionSystem, anchor: int) -> tuple[TransitionSystem
 
 def _structure_key(sys: TransitionSystem) -> tuple:
     """Everything an isomorphism must preserve, with labels compared by name."""
-    names = None
-    if sys.labels is not None:
-        names = tuple(sys.label_names[l] for l in sys.labels)
+    names = None if sys.labels is None else tuple(map(sys.label_names.__getitem__, sys.labels))
     return (sys.delta, names)
 
 
@@ -401,8 +384,5 @@ def is_homomorphism(m: StateMap, src: TransitionSystem, dst: TransitionSystem) -
         raise InputError("map sizes do not match the systems")
     if src.action_names != dst.action_names:
         raise InputError("action alphabets differ")
-    for s in range(src.n_states):
-        for a in range(src.n_actions):
-            if dst.delta[m.map[s]][a] != m.map[src.delta[s][a]]:
-                return False
-    return True
+    return _relabeled_rows(src.delta, range(src.n_states), m.map) == tuple(
+        map(dst.delta.__getitem__, m.map))

@@ -33,7 +33,6 @@ class ParseError(DtsError):
 
 
 def _content_lines(numbered):
-    """The line number and tokens of each ``(line number, line)`` with content."""
     for line_no, raw in numbered:
         tokens = raw.split("#", 1)[0].split()
         if tokens:
@@ -115,8 +114,7 @@ def parse_dts(text: str) -> TransitionSystem:
     action_index = {name: a for a, name in enumerate(action_names)}
     n_actions = len(action_names)
     table: list[int | None] = [None] * (n_states * n_actions)  # the cell of (s, a) is s*m + a
-    # a plain 'trans S ACT T' line is checked inline; any other line, and any
-    # line that fails, goes through _transition, which raises its ParseError
+    # plain 'trans S ACT T' lines are checked inline; the rest go through _transition
     for line_no, raw in chain([(line_no, " ".join(tokens))], numbered):
         try:
             word, s, name, t = raw.split()
@@ -124,8 +122,7 @@ def parse_dts(text: str) -> TransitionSystem:
         except (ValueError, KeyError):
             word = None
         if word != "trans" or not 0 <= s < n_states > t >= 0:
-            tokens = raw.split("#", 1)[0].split()
-            if not tokens:
+            if not (tokens := raw.split("#", 1)[0].split()):
                 continue
             s, a, t = _transition(tokens, line_no, n_states, action_index)
         cell = s * n_actions + a
@@ -136,8 +133,7 @@ def parse_dts(text: str) -> TransitionSystem:
         last = line_no
     if None in table:
         s, a = divmod(table.index(None), n_actions)
-        raise ParseError(last, f"missing transition for state {s}, "
-                               f"action {action_names[a]!r}")
+        raise ParseError(last, f"missing transition for state {s}, action {action_names[a]!r}")
     rows = tuple(zip(*[iter(table)] * n_actions))  # the cells, n_actions at a time
     return TransitionSystem.from_tables(action_names, rows, state_labels, initial)
 

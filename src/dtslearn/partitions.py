@@ -12,7 +12,6 @@ enumeration oracle for it on small state sets.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -450,8 +449,7 @@ def quotient(sys: TransitionSystem, e: Partition) -> tuple[TransitionSystem, Sta
         raise PreconditionError(
             f"partition is not sufficient: states {s} and {s2} are equivalent but "
             f"their successors under action {sys.action_names[a]!r} are not")
-    # Blocks are numbered by smallest member, so block b's first state is the
-    # first b in block_of after block b-1's: one scan of block_of finds them all.
+    # blocks are numbered by smallest member: block b starts at the first b after block b-1's start
     block_of, labels = e.block_of, sys.labels
     reps, s = [], -1
     for b in range(e.n_blocks):
@@ -459,16 +457,14 @@ def quotient(sys: TransitionSystem, e: Partition) -> tuple[TransitionSystem, Sta
         reps.append(s)
     if labels is not None:
         rep_labels = list(map(labels.__getitem__, reps))
-        if not all(map(operator.eq, map(rep_labels.__getitem__, block_of), labels)):
+        if tuple(map(rep_labels.__getitem__, block_of)) != labels:
             # the lowest-numbered block with a differing state, then its first one
             b, s = min((b, s) for s, b in enumerate(block_of) if rep_labels[b] != labels[s])
             raise PreconditionError(
                 f"partition is not label-closed: states {reps[b]} and {s} are "
                 "equivalent but carry different labels")
     delta = _relabeled_rows(sys.delta, reps, block_of)
-    state_labels = None
-    if labels is not None:
-        state_labels = list(map(sys.label_names.__getitem__, rep_labels))
+    state_labels = None if labels is None else [sys.label_names[l] for l in rep_labels]
     initial = None if sys.initial is None else block_of[sys.initial]
     out = TransitionSystem.from_tables(sys.action_names, delta, state_labels, initial)
     return out, StateMap(sys.n_states, e.n_blocks, e.block_of)
