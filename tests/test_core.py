@@ -207,6 +207,24 @@ class TestWholeTableChecks:
             got = build().labels
             assert got == expected and all(type(t) is int for t in got)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_homomorphism_matches_a_per_cell_scan(self, data):
+        n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 2))
+        cells = lambda size, bound: [[data.draw(st.integers(0, bound - 1)) for _ in range(m)]
+                                     for _ in range(size)]
+        src, dst = cells(n, n), cells(k, k)
+        image = [data.draw(st.integers(0, k - 1)) for _ in range(n)]
+        for s in range(n):  # commute at some states, so that both answers occur
+            if data.draw(st.booleans()):
+                dst[image[s]] = [image[t] for t in src[s]]
+        names = tuple(f"u{a}" for a in range(m))
+        expected = all(dst[image[s]][a] == image[src[s][a]] for s in range(n) for a in range(m))
+        got = is_homomorphism(StateMap(n, k, image), TransitionSystem(n, m, names, src),
+                              TransitionSystem(k, m, names, dst))
+        assert got is expected
+
     def test_rows_that_are_not_iterable(self):
         with pytest.raises(InputError, match="delta entries must be integers"):
             TransitionSystem(2, 1, ("a",), ((0,), 1))
