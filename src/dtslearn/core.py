@@ -14,7 +14,6 @@ scan fails does a per-cell loop run, to name the first offender.
 from __future__ import annotations
 
 import operator
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -69,10 +68,12 @@ def _ids(values, what: str) -> tuple[int, ...]:
 def _id_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
     """``rows`` as int tuples: ``_ids`` row by row unless every cell is a plain int."""
     rows = tuple(rows)
-    with suppress(TypeError):  # a row that is not iterable: _ids names it
+    try:
         rows = tuple(map(tuple, rows))
         if {int}.issuperset(map(type, chain.from_iterable(rows))):
             return rows
+    except TypeError:  # a row that is not iterable: _ids names it
+        pass
     return tuple(_ids(row, what) for row in rows)
 
 
@@ -148,8 +149,7 @@ class TransitionSystem:
             raise InputError("action names must be non-empty")
         if len(delta) != self.n_states:
             raise InputError("delta must have one row per state")
-        # the cells are scanned through chain, not copied: one flat copy per table
-        # raised the peak RSS of the acceptance suite's many small systems by 0.4 MiB
+        # cells are scanned through chain: a flat copy of them raised acceptance peak RSS 0.4 MiB
         if not ({self.n_actions}.issuperset(map(len, delta))
                 and 0 <= min(chain.from_iterable(delta))
                 and max(chain.from_iterable(delta)) < self.n_states):
