@@ -17,6 +17,9 @@ Where the complete trie of all words up to the depth has at most TRIE_NODES
 nodes, the tree is filled to the depth instead, and the trie read off it is
 split over a horizon: exact, and cheaper. The tree is the run's only store of
 observations, so the oracle is never asked for a word it has already answered.
+A word's row, what follows it under each suffix, is cached across suffix
+additions, so a new suffix walks only its own column. Every walk takes its
+words longest first, and new words are replayed in one batch per length.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, product
+from itertools import accumulate, filterfalse, product
 from time import perf_counter
 
 import numpy as np
@@ -316,9 +319,11 @@ class _ObservationTable:
     ``asked`` on wait for a replay. ``levels`` holds the nodes of each complete
     level and ``seen`` their observations, words in lexicographic order; the
     levels that ``fill`` completes below the last one with nodes are kept as
-    observations alone until ``_child`` makes them nodes. The representatives
-    (the first word of each row, breadth-first) and their successors' rows hold
-    until a suffix is added.
+    observations alone until ``_child`` makes them nodes. ``cache`` row
+    ``slots[v]`` holds node ``v``'s row, its observation after each suffix (-1
+    where not yet walked); it is kept across suffix additions and allocated by
+    ``_rows``. The representatives (the first word of each row, breadth-first)
+    and their successors hold until a suffix is added.
     """
 
     def __init__(self, oracle: EnvOracle):
@@ -329,14 +334,13 @@ class _ObservationTable:
         self.size, self.asked = 2, 1
         self.levels, self.seen = [np.ones(1, dtype=np.int64)], []
         self.suffixes = [()]  # suffixes only grow
+        self.slots, self.cache = {}, np.empty((0, 0), dtype=np.int32)
         self._reset()
 
     def _reset(self):
-        # the rows of a node's successors, read from the node: each action, then each suffix
-        self.succ_acts, self.succ_lens = _padded([(a,) + e for a in range(self.m)
-                                                  for e in self.suffixes])
+        self.acts, self.lens = _padded(self.suffixes)
         self.known, self.reps, self.rep_len, self.expanded = {}, [1], [0], 0
-        self.kids, self.targets, self.succ_rows = [], [], []
+        self.kids, self.targets = [], []
 
     def _add(self, keys) -> np.ndarray:
         """New placeholder nodes, one per distinct ``parent·m + action`` code; their ids."""
@@ -365,16 +369,16 @@ class _ObservationTable:
                    for j in range(len(seen) - first)]
         self.asked = self.size
 
-    def _child(self, cur, act, live=True) -> np.ndarray:
-        """The child of each node under its action, added as a placeholder where missing and live."""
+    def _child(self, cur, act) -> np.ndarray:
+        """The child of each node under its action (broadcast); a placeholder where missing."""
         if len(self.seen) > len(self.levels):
             self._materialize()
         kid = self.tree[cur, act]
-        new = live & (kid == 0)
+        new = kid == 0
         if new.any():
             # sorted and deduplicated by hand: np.unique is several times slower
             # on these arrays and loads numpy.ma, 2 MiB, on its first call
-            keys = np.sort(cur[new] * self.m + act[new])
+            keys = np.sort((cur * self.m + act)[new])
             self._add(keys[np.concatenate(([True], keys[1:] != keys[:-1]))])
             kid = self.tree[cur, act]
         return kid
@@ -419,52 +423,82 @@ class _ObservationTable:
     def _observe(self, starts, acts, lens) -> np.ndarray:
         """The sensor value after each start then its padded row of ``acts``, asking for new words.
 
-        ``starts`` holds one node per row, or a column of nodes that each take every row.
+        ``starts`` holds one node per row, or a column of nodes that each take
+        every row (the result then has a row per row of ``acts``). Rows are
+        walked longest first, so step ``t`` touches only the rows longer than ``t``.
         """
-        shape = np.broadcast_shapes(starts.shape, lens.shape)
-        cur = np.broadcast_to(starts, shape)
-        for t in range(acts.shape[1]):
-            live = lens > t
-            cur = np.where(live, self._child(cur, np.broadcast_to(acts[:, t], shape), live), cur)
+        order = np.argsort(-lens, kind="stable")
+        if starts.ndim == 2:  # every start takes every row
+            cur, acts = np.tile(starts.T, (len(order), 1)), acts[order, :, None]
+        else:
+            cur, acts = starts[order], acts[order]
+        for t, live in enumerate(np.searchsorted(-lens[order], -np.arange(lens.max(initial=0)))):
+            cur[:live] = self._child(cur[:live], acts[:live, t])
         if self.asked < self.size:
             self._ask()
-        return self.tree[cur, self.m]
+        out = np.empty(cur.shape, dtype=np.int32)
+        out[order] = self.tree[cur, self.m]
+        return out
 
     def _ask(self):
-        """Replay the new leaves (asked words no other extends), one batch per length."""
+        """Replay the new leaves (words asked that no other extends), one batch per length.
+
+        Batches run shortest first. The leaves are sorted by length, longest
+        first, so a batch is a contiguous slice and the leaves longer than
+        ``j`` are a prefix.
+        """
         m, tree = self.m, self.tree
         new = np.arange(self.asked, self.size, dtype=np.int32)
-        v = new[(tree[self.asked:self.size, :m] == 0).all(1)]
-        path = []  # the nodes j steps above each leaf
+        v = leaves = new[(tree[self.asked:self.size, :m] == 0).all(1)]
+        length = np.zeros(len(leaves), dtype=np.int64)
         while v.any():  # the root's parent code leads to the blank node 0
-            path.append(v)
+            length += v > 1
             v = tree[v, m + 1] // m
-        path = np.array(path)
-        back, length = tree[path, m + 1] % m, (path > 1).sum(0)  # actions into them; lengths
-        for n in sorted(set(length.tolist())):
-            group = length == n
-            tree[1, m] = self.oracle.start(int(group.sum()))[0]
-            for a, v in zip(back[:n][::-1, group], path[:n][::-1, group]):
-                tree[v, m] = self.oracle.step(a)
+        order = np.argsort(-length, kind="stable")
+        length, path = length[order], [leaves[order]]  # path[j]: the nodes j steps above
+        for live in np.searchsorted(-length, -np.arange(1, length[0])):
+            path.append(tree[path[-1][:live], m + 1] // m)
+        bounds = [0, *(np.flatnonzero(length[1:] != length[:-1]) + 1).tolist(), len(length)]
+        for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
+            tree[1, m] = self.oracle.start(hi - lo)[0]
+            for j in range(int(length[lo]) - 1, -1, -1):
+                v = path[j][lo:hi]
+                tree[v, m] = self.oracle.step(tree[v, m + 1] % m)
         self.asked = self.size
+
+    def _rows(self, nodes) -> np.ndarray:
+        """Each node's row over the suffixes, walking only the cells not yet cached."""
+        ids, slot = nodes.tolist(), self.slots
+        # new nodes take the next slots in order; update inserts each before testing the next
+        fresh = range(len(slot), len(slot) + len(ids))
+        slot.update(zip(filterfalse(slot.__contains__, ids), fresh))
+        slots = np.array(list(map(slot.__getitem__, ids)), dtype=np.int64)
+        need = (len(slot), len(self.suffixes))
+        if need[0] > len(self.cache) or need[1] > self.cache.shape[1]:
+            old = self.cache  # a column per suffix, slots doubling; unwalked cells -1
+            height = len(old) if need[0] <= len(old) else max(2 * len(old), need[0])
+            self.cache = np.full((height, need[1]), -1, dtype=np.int32)
+            self.cache[:old.shape[0], :old.shape[1]] = old
+        rows = self.cache[slots, :need[1]]
+        i, col = np.nonzero(rows < 0)
+        rows[i, col] = self.cache[slots[i], col] = self._observe(nodes[i], self.acts[col],
+                                                                 self.lens[col])
+        return rows
 
     def _expand(self, max_len: int):
         """Carry the representatives on through words of length ``max_len``."""
         if not self.known:  # the empty word's row comes first
-            root = self._observe(np.ones((1, 1), dtype=np.int64), *_padded(self.suffixes))
-            self.known[root[0].tobytes()] = 0
+            self.known[self._rows(np.ones(1, dtype=np.int64))[0].tobytes()] = 0
         while self.expanded < len(self.reps) and self.rep_len[self.expanded] <= max_len:
             level, length = np.array(self.reps[self.expanded:]), self.rep_len[-1] + 1
             self.expanded = len(self.reps)
-            rows = self._observe(level[:, None], self.succ_acts, self.succ_lens)
-            kids = self.tree.take(level, axis=0)[:, :self.m].ravel().tolist()
-            for w, row in zip(kids, rows.reshape(len(kids), -1)):
+            kids = self._child(level[:, None], np.arange(self.m)).ravel()
+            for w, row in zip(kids.tolist(), self._rows(kids)):
                 self.targets.append(self.known.setdefault(row.tobytes(), len(self.reps)))
                 if self.targets[-1] == len(self.reps):  # a new row
                     self.reps.append(w)
                     self.rep_len.append(length)
-            self.kids += kids
-            self.succ_rows.append(rows)
+            self.kids += kids.tolist()
 
     def build(self, depth: int, horizon: int, bound: int | None,
               ) -> tuple[TransitionSystem | None, BuildReport, bool]:
@@ -500,14 +534,17 @@ class _ObservationTable:
             reps, kids, targets = np.array(self.reps[:n]), np.array(self.kids), delta.reshape(-1)
             split = np.flatnonzero(np.repeat(np.array(self.rep_len[:n]) < max_len, m)
                                    & (kids != reps[targets]))
-            rows = self._observe(kids[split][:, None], self.succ_acts, self.succ_lens)
-            bad = np.argwhere(rows != np.concatenate(self.succ_rows)[targets[split]])
+            grand = self._child(kids[split][:, None], np.arange(m)).ravel()
+            shape = (len(split), m * len(self.suffixes))
+            rows = self._rows(grand).reshape(shape)
+            bad = np.argwhere(rows != self._rows(kids.reshape(n, m)[targets[split]].ravel())
+                              .reshape(shape))
             if len(bad):
                 b, k = divmod(int(bad[0][1]), len(self.suffixes))
                 self.suffixes.append((b,) + self.suffixes[k])
                 self._reset()
                 continue
-            cover = np.concatenate([reps, kids, self.tree.take(kids[split], axis=0)[:, :m].ravel()])
+            cover = np.concatenate([reps, kids, grand])
             states = np.concatenate([np.arange(n), targets, delta[targets[split]].ravel()])
             word = self._mismatch(cover, states, tests, lens, delta, self.tree[reps, m])
             if word is None:
@@ -772,7 +809,8 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
     would exceed ``SUITE_WORDS`` is an ``InputError``.
 
     Returns the certified or stabilized model in canonical form, or the last
-    candidate (possibly None), with each depth's oracle calls and time.
+    candidate (possibly None), with each depth's oracle calls and time. The
+    oracle's last batch is ended (a start of no sessions) before the return.
     """
     max_depth = _index(max_depth, "max_depth")
     min_depth = _index(min_depth, "min_depth")
@@ -806,6 +844,7 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
         if converged or (bound is not None and method == "table" and model is not None
                          and depth >= 2 * report.n_model_states + 2):
             break
+    oracle.start(0)  # end the last batch: a kept oracle holds no sessions
     return prev_model, LearnReport(converged, prev_depth if converged else None, depth,
                                    oracle.resets - resets0, oracle.steps - steps0,
                                    _Attempts(attempts), bound)

@@ -1,5 +1,7 @@
 import operator
 import time
+from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dtslearn import (
     InputError,
     NotConnectedError,
+    Partition,
     StateMap,
     TransitionSystem,
     are_isomorphic,
@@ -15,12 +18,16 @@ from dtslearn import (
     is_homomorphism,
     is_minimally_distinguishing,
     is_strongly_connected,
+    make_arm,
     make_cycle,
     make_line,
     make_random,
+    msr,
+    partition_from_labels,
+    quotient,
     star,
 )
-from dtslearn.envs import SplitMix64
+from dtslearn.envs import ArmSpec, SplitMix64
 
 L, R = 0, 1
 
@@ -354,6 +361,40 @@ class TestCanonicalForm:
         env = make_line(3)
         canon, _ = canonical_form(env, 1)
         assert canon.label_names[canon.labels[0]] == "white"
+
+
+class TestUncheckedResults:
+    """``canonical_form`` and ``quotient`` skip the table checks; a checked build must agree."""
+
+    @staticmethod
+    def systems():
+        yield make_arm(ArmSpec(3, 10, frozenset({(1, 2, 3), (4, 4, 4), (7, 0, 9)}), (0, 0, 0)))
+        yield make_arm(ArmSpec(2, 6, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        rng = SplitMix64(29)
+        for k in range(60):  # labeled and not, pointed and not, with and without an initial state
+            n, m = 1 + rng.below(8), 1 + rng.below(3)
+            sys_ = make_random(n, m, rng.next_u64(), pointed=k % 3 == 0)
+            yield (sys_, sys_.unlabeled(), replace(sys_, initial=None))[k % 3]
+
+    @staticmethod
+    def assert_checked(sys_):
+        names = None if sys_.labels is None else [sys_.label_names[l] for l in sys_.labels]
+        checked = TransitionSystem.from_tables(
+            list(sys_.action_names), [list(row) for row in sys_.delta], names, sys_.initial)
+        assert sys_ == checked
+        assert type(sys_.delta) is tuple and {tuple} == set(map(type, sys_.delta))
+        assert {int} == set(map(type, chain(chain.from_iterable(sys_.delta), sys_.labels or ())))
+
+    def test_canonical_forms_equal_their_checked_build(self):
+        for sys_ in self.systems():
+            for anchor in {0, sys_.n_states - 1}:
+                self.assert_checked(canonical_form(sys_, anchor)[0])
+
+    def test_quotients_equal_their_checked_build(self):
+        for sys_ in self.systems():
+            part = (Partition.single_block(sys_.n_states) if sys_.labels is None
+                    else msr(sys_, partition_from_labels(sys_)))
+            self.assert_checked(quotient(sys_, part)[0])
 
 
 class TestIsomorphism:

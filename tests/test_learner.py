@@ -1,9 +1,11 @@
 import functools
 import hashlib
 from time import perf_counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtslearn import (
     EnvOracle,
@@ -109,6 +111,22 @@ class ReplayCountingOracle(EnvOracle):
                     break
                 self.seen.add(word[:i])
         return self.replayed
+
+
+class CallCountingOracle(EnvOracle):
+    """An oracle that counts its start and step calls: the learner's batches."""
+
+    def __init__(self, env, x0):
+        super().__init__(env, x0)
+        self.start_calls = self.step_calls = 0
+
+    def start(self, sessions):
+        self.start_calls += 1
+        return super().start(sessions)
+
+    def step(self, actions):
+        self.step_calls += 1
+        return super().step(actions)
 
 
 def random_trie(rng, m, k, depth):
@@ -542,6 +560,28 @@ class TestLearn:
             digest.update(repr([(a.resets, a.steps) for a in report.attempts]).encode())
         assert digest.hexdigest() == GOLDEN_COUNT_DIGEST
 
+    def test_golden_batch_counts(self):
+        # the oracle's start and step calls of each golden learn: the same batches as
+        # when the learner left its last batch open, plus the one start of no sessions
+        # that ends it
+        batches = [(start, step) for _, _, (start, step) in _golden_learns()]
+        assert batches == [(start + 1, step) for start, step in OPEN_LAST_BATCH_CALLS]
+
+    @pytest.mark.parametrize("resolution, counts", [
+        (6, (34, 75661, 805326, 113, 1011)),
+        (7, (47, 100422, 1111481, 167, 1564)),
+        (8, (62, 154954, 1879681, 271, 2721)),
+    ])
+    def test_arm_oracle_counts_and_batches(self, resolution, counts):
+        # n states, resets, steps, then start and step calls with the last batch left open
+        env = make_arm(ArmSpec(2, resolution, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        oracle = CallCountingOracle(env, env.initial)
+        model, report = learn(oracle, None, 68)
+        assert report.converged and are_isomorphic(env, model, anchored=True)[0]
+        n, resets, steps, start_calls, step_calls = counts
+        assert (env.n_states, report.oracle_resets, report.oracle_steps) == (n, resets, steps)
+        assert (oracle.start_calls, oracle.step_calls) == (start_calls + 1, step_calls)
+
     def test_no_golden_learn_asks_more_than_with_a_separate_trie(self):
         for (_, report), (resets, steps) in zip(_digest_runs(), SEPARATE_TRIE_COUNTS, strict=True):
             assert report.oracle_resets <= resets and report.oracle_steps <= steps
@@ -590,14 +630,33 @@ SEPARATE_TRIE_COUNTS = (
     (5460, 61896), (1399, 12936), (6518, 70594), (9598, 103606), (21894, 259546))
 
 
+# (start calls, step calls) of each golden learn while learn left its last batch open
+OPEN_LAST_BATCH_CALLS = (
+    (113, 1011), (83, 696), (167, 1564), (137, 1204), (5, 27), (3, 12), (2, 6), (3, 9), (5, 27),
+    (3, 12), (4, 20), (3, 12), (3, 12), (2, 6), (6, 39), (4, 20), (5, 30), (4, 20), (6, 42),
+    (5, 30), (17, 159), (5, 29), (12, 83), (4, 19), (6, 39), (4, 20), (6, 39), (4, 20), (4, 20),
+    (3, 12), (3, 12), (2, 6), (5, 30), (4, 20), (3, 12), (2, 6), (3, 12), (2, 6), (2, 6),
+    (1, 2), (4, 20), (3, 12), (3, 12), (2, 6), (4, 20), (3, 12), (5, 27), (3, 12), (6, 39),
+    (4, 20), (2, 6), (3, 9), (4, 20), (3, 12), (6, 39), (4, 20), (3, 12), (2, 6), (6, 39),
+    (4, 20), (5, 27), (3, 12), (6, 42), (5, 30), (19, 210), (26, 352), (33, 525)
+)
+
+
 @functools.cache
-def _digest_runs():
-    """The golden learns' models and reports, run once for the tests that read them."""
+def _golden_learns():
+    """The golden learns' models, reports and oracle (start, step) calls, run once."""
     runs = []
     for env, x0, bounded in _digest_learns():
         n = env.n_states
-        runs.append(learn(env, x0, 2 * n + 6, min_depth=2 * n if bounded else 2))
+        oracle = CallCountingOracle(env, x0)
+        model, report = learn(oracle, None, 2 * n + 6, min_depth=2 * n if bounded else 2)
+        runs.append((model, report, (oracle.start_calls, oracle.step_calls)))
     return tuple(runs)
+
+
+def _digest_runs():
+    """The golden learns' models and reports."""
+    return tuple((model, report) for model, report, _ in _golden_learns())
 
 
 def _digest_learns():
@@ -617,6 +676,38 @@ def _digest_learns():
             ("r", "w"), [[min(i + 1, n - 1), 0] for i in range(n)],
             ["blank"] * (n - 1) + ["click"], 0)
         yield env, 0, True
+
+
+class TestRowCache:
+    """The observation table's rows, kept across suffix additions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 2 ** 64 - 1), st.booleans(),
+           st.booleans())
+    def test_cached_rows_match_fresh_walks(self, n, m, seed, pointed, bounded):
+        # every depth from the table, so its rows are built, read and extended by suffixes
+        env = make_random(n, m, seed, pointed=pointed)
+        fresh = EnvOracle(env, 0)
+
+        def obs(table, v, suffix):
+            return fresh.walk(table._word(v) + suffix)[-1]
+
+        tables, rows_of = [], learner._ObservationTable._rows
+
+        def checked_rows(table, nodes):
+            rows = rows_of(table, nodes)
+            tables.append(table)
+            for v, row in zip(nodes.tolist(), rows.tolist()):
+                assert row == [obs(table, v, e) for e in table.suffixes]
+            return rows
+
+        with patch.object(learner, "TRIE_NODES", 0), \
+                patch.object(learner._ObservationTable, "_rows", checked_rows):
+            learn(EnvOracle(env, 0), None, 2 * n + 6, min_depth=2 * n if bounded else 2)
+        table = tables[-1]
+        for v, slot in table.slots.items():  # columns a node was not read under stay -1
+            for e, seen in zip(table.suffixes, table.cache[slot].tolist()):
+                assert seen in (-1, obs(table, v, e))
 
 
 class TestCertificate:
@@ -731,6 +822,18 @@ class TestOracle:
         assert (oracle.resets, oracle.steps) == (0, 0)
         model, report = learn(oracle, None, 12)
         assert report.converged and model.n_states == 4
+
+    def test_learn_ends_its_last_batch(self):
+        # a kept oracle holds no sessions, whether the run ends at a trie depth's
+        # fill, in a certificate suite or in a table build
+        arm = make_arm(ArmSpec(2, 6, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        env = make_random(6, 2, 7, pointed=True)
+        for system, max_depth, min_depth in ((env, 18, 12), (env, 18, 2), (arm, 68, 2)):
+            oracle = EnvOracle(system, system.initial)
+            _, report = learn(oracle, None, max_depth, min_depth=min_depth)
+            assert report.converged
+            assert oracle._cur.size == 0
+            assert (oracle.resets, oracle.steps) == (report.oracle_resets, report.oracle_steps)
 
     def test_exploration_costs_one_walk_per_leaf(self):
         env = make_line(4)
