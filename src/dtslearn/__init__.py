@@ -50,10 +50,8 @@ from .coupling import (
     is_surpriseless,
     with_induced_labels,
 )
+from .observations import BuildReport, EnvOracle, HistoryTrie
 from .learner import (
-    BuildReport,
-    EnvOracle,
-    HistoryTrie,
     LearnReport,
     VerifyReport,
     bounded_indistinguishability,

@@ -30,9 +30,9 @@ from dtslearn import (
     star,
     verify_learned,
 )
-from dtslearn import learner
+from dtslearn import learner, observations
 from dtslearn.envs import ArmSpec, SplitMix64
-from dtslearn.learner import HistoryTrie, count_nodes
+from dtslearn.observations import HistoryTrie, count_nodes
 
 CW, CCW = 0, 1
 
@@ -692,7 +692,7 @@ class TestRowCache:
         def obs(table, v, suffix):
             return fresh.walk(table._word(v) + suffix)[-1]
 
-        tables, rows_of = [], learner._ObservationTable._rows
+        tables, rows_of = [], observations._ObservationTable._rows
 
         def checked_rows(table, nodes):
             rows = rows_of(table, nodes)
@@ -702,7 +702,7 @@ class TestRowCache:
             return rows
 
         with patch.object(learner, "TRIE_NODES", 0), \
-                patch.object(learner._ObservationTable, "_rows", checked_rows):
+                patch.object(observations._ObservationTable, "_rows", checked_rows):
             learn(EnvOracle(env, 0), None, 2 * n + 6, min_depth=2 * n if bounded else 2)
         table = tables[-1]
         for v, slot in table.slots.items():  # columns a node was not read under stay -1
@@ -715,7 +715,7 @@ class TestCertificate:
 
     @staticmethod
     def certify(env, model, bound):
-        table = learner._ObservationTable(EnvOracle(env, 0))
+        table = observations._ObservationTable(EnvOracle(env, 0))
         return table.certify(model, bound, [()])
 
     def test_the_last_sigma_layer_is_needed(self):
@@ -733,7 +733,7 @@ class TestCertificate:
             ("x", "y"), [[0, 3], [1, 2], [0, 2], [2, 1]], ["o", "i", "o", "o"], 0)
         model = TransitionSystem.from_tables(
             ("x", "y"), [[0, 1], [0, 2], [2, 0]], ["o", "o", "i"], 0)
-        assert learner._characterizing(model, [()]) == [(), (1,)]
+        assert observations._characterizing(model, [()]) == [(), (1,)]
         assert self.certify(env, model, 4)[:2] == (False, (1, 0, 1, 1))
 
     def test_separating_words_characterize_minimal_models(self):
@@ -742,7 +742,7 @@ class TestCertificate:
             m = 2 + rng.below(3)
             env = make_random(2 + rng.below(7), m, rng.next_u64(), pointed=bool(rng.below(2)))
             model, _ = quotient(env, msr(env, partition_from_labels(env)))
-            words = learner._characterizing(model, [()])
+            words = observations._characterizing(model, [()])
             traces = {tuple(tuple(model.labels[star(model, s, w[:i])] for i in range(len(w) + 1))
                             for w in words) for s in range(model.n_states)}
             assert len(traces) == model.n_states
