@@ -207,7 +207,8 @@ class _ObservationTable:
         self.size, self.asked = 2, 1
         self.levels, self.seen = [np.ones(1, dtype=np.int64)], []
         self.suffixes = [()]  # suffixes only grow
-        self.slots, self.cache = {}, np.empty((0, 0), dtype=np.int32)
+        # observations run from -1 to the label count: the smallest signed type holds them
+        self.slots, self.cache = {}, np.empty((0, 0), np.min_scalar_type(-len(oracle.label_names)))
         self._reset()
 
     def _reset(self):
@@ -350,7 +351,7 @@ class _ObservationTable:
         if need[0] > len(self.cache) or need[1] > self.cache.shape[1]:
             old = self.cache  # a column per suffix, slots doubling; unwalked cells -1
             height = len(old) if need[0] <= len(old) else max(2 * len(old), need[0])
-            self.cache = np.full((height, need[1]), -1, dtype=np.int32)
+            self.cache = np.full((height, need[1]), -1, dtype=old.dtype)
             self.cache[:old.shape[0], :old.shape[1]] = old
         rows = self.cache[slots, :need[1]]
         i, col = np.nonzero(rows < 0)
