@@ -220,12 +220,14 @@ class _ObservationTable:
         """New placeholder nodes, one per distinct ``parent·m + action`` code; their ids."""
         ids = np.arange(self.size, self.size + len(keys))
         self.size += len(keys)
-        cap = len(self.tree)
+        cap = n = len(self.tree)
         if self.size > cap:  # grow by half until the nodes fit, so the capacity follows the size
             while cap < self.size:
                 cap += cap // 2
-            old, self.tree = self.tree, np.empty((cap, self.m + 2), dtype=np.int32)
-            self.tree[:len(old)], self.tree[len(old):] = old, old[0]  # copies of the blank node 0
+            # in place, so the old and the new tree are never held at once; safe because
+            # no view of the tree outlives a method call
+            self.tree.resize((cap, self.m + 2), refcheck=False)
+            self.tree[n:] = self.tree[0]  # copies of the blank node 0
         self.tree[np.divmod(keys, self.m)] = ids
         self.tree[ids, self.m + 1] = keys
         return ids
