@@ -72,29 +72,25 @@ def explore(env, x0: int | None, depth: int) -> HistoryTrie:
 def bounded_indistinguishability(trie: HistoryTrie, horizon: int) -> Partition:
     """Merge nodes whose observations agree on every continuation up to ``horizon``.
 
-    Moore's k-step equivalence over one flat class array of the nodes in BFS
-    order, starting from the observations. Round ``j`` re-ranks each node of
-    depth at most ``depth - j`` by its class and its children's classes,
-    folded in one action at a time as 1-D integer keys; the children of the
-    first ``live`` nodes are the slice ``1 .. m·live``, so the array shrinks
-    to those nodes. After the last round two nodes of depth at most
-    ``depth - horizon`` share a class iff no continuation word of length up
-    to the horizon separates them. Classes are numbered by first occurrence.
+    Node ``v`` continued by the word with node id ``u`` ends at node
+    ``v·m^|u| + u``, so the length-``k`` continuations of nodes ``0 .. n-1``
+    are the consecutive nodes from ``offsets[k]`` on, ``m^k`` per node. Each
+    node of depth at most ``depth - horizon`` gets its continuation row, its
+    observations after every word up to the horizon, as one slice per length;
+    nodes with equal rows share a class, numbered by first occurrence.
     """
     horizon = _index(horizon, "horizon", trie.depth + 1)
-    m = trie.n_actions
-    cls = np.concatenate(trie.levels).astype(np.int64)
-    # Ids are ranks below the node count (at most EXPLORE_NODE_BUDGET = 2^25)
-    # or int32 observations, so keys stay below bound^2 < 2^62 (2^50 in practice).
-    bound = max(trie.node_count, int(cls.max()) + 1)
-    for j in range(1, horizon + 1):
-        live = trie.offsets[trie.depth - j + 1]
-        kids = cls[1:1 + m * live].reshape(live, m)
-        key = cls[:live]
-        for a in range(m):
-            key = np.unique(key * bound + kids[:, a], return_inverse=True)[1]
-        cls = key
-    return Partition.from_block_of(cls[:trie.offsets[trie.depth - horizon + 1]].tolist())
+    m, offs = trie.n_actions, trie.offsets
+    # observations lie in 0 .. len(label_names) - 1, so the narrowest unsigned type holds them
+    obs = np.concatenate(trie.levels, dtype=np.min_scalar_type(len(trie.label_names) - 1),
+                         casting="unsafe")
+    n = offs[trie.depth - horizon + 1]
+    rows = np.concatenate([obs[offs[k]:offs[k] + m ** k * n].reshape(n, m ** k)
+                           for k in range(horizon + 1)], axis=1)
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))),
+                                  return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # each class's number by its first node
+    return Partition._trusted(n, len(first), tuple(rank[inverse.ravel()].tolist()))
 
 
 def build_model(trie: HistoryTrie, horizon: int) -> tuple[TransitionSystem | None, BuildReport]:
@@ -109,43 +105,37 @@ def build_model(trie: HistoryTrie, horizon: int) -> tuple[TransitionSystem | Non
     if horizon < 1:
         raise InputError("model building needs a horizon of at least 1")
     part = bounded_indistinguishability(trie, horizon)
-    m = trie.n_actions
-    top = trie.depth - horizon  # deepest classified level
+    m, top = trie.n_actions, trie.depth - horizon  # top: the deepest classified level
     if top < 1:
-        report = BuildReport(False, True, False, part.n_blocks, 0,
-                             "trie too shallow: no node has classified children")
-        return None, report
+        return None, BuildReport(False, True, False, part.n_blocks, 0,
+                                 "trie too shallow: no node has classified children")
     block_of = np.asarray(part.block_of, dtype=np.int64)
     cut = trie.offsets[top]  # nodes with all children classified
     child_classes = block_of[1:1 + m * cut].reshape(cut, m)
     first_member = np.unique(block_of, return_index=True)[1]  # ascending by class
     n_eligible = int(np.searchsorted(first_member, cut))
 
-    expected = child_classes[first_member[block_of[:cut]]]
-    bad = np.argwhere(child_classes != expected)
+    bad = np.argwhere(child_classes != child_classes[first_member[block_of[:cut]]])
     if len(bad):
         node, a = (int(v) for v in bad[0])
         rep = int(first_member[block_of[node]])
-        report = BuildReport(
+        return None, BuildReport(
             False, False, True, part.n_blocks, n_eligible,
             f"class of node {rep} is inconsistent: nodes {rep} and {node} disagree "
             f"under action {trie.action_names[a]!r}")
-        return None, report
 
     delta = child_classes[first_member[:n_eligible]]
     overflow = np.argwhere(delta >= n_eligible)
     if len(overflow):
         c, a = (int(v) for v in overflow[0])
-        report = BuildReport(
+        return None, BuildReport(
             False, True, False, part.n_blocks, n_eligible,
             f"not closed: class {c} leads under action {trie.action_names[a]!r} "
             "to a class with no shallow member")
-        return None, report
 
-    state_labels = [trie.label_names[trie.observation(int(first_member[c]))]
-                    for c in range(n_eligible)]
-    model = TransitionSystem.from_tables(
-        trie.action_names, delta.tolist(), state_labels, initial=0)
+    labels = np.concatenate(trie.levels[:top])[first_member[:n_eligible]].tolist()
+    model = TransitionSystem.from_tables(trie.action_names, delta.tolist(),
+                                         [trie.label_names[o] for o in labels], initial=0)
     return model, BuildReport(True, True, True, part.n_blocks, n_eligible)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import accumulate, filterfalse, product
 
 import numpy as np
@@ -35,9 +36,7 @@ SUITE_WORDS = 1 << 16  # most words one certificate suite may ask for
 
 def count_nodes(n_actions: int, depth: int) -> int:
     """Number of action words of length at most ``depth``."""
-    if n_actions == 1:
-        return depth + 1
-    return (n_actions ** (depth + 1) - 1) // (n_actions - 1)
+    return depth + 1 if n_actions == 1 else (n_actions ** (depth + 1) - 1) // (n_actions - 1)
 
 
 class EnvOracle:
@@ -120,11 +119,30 @@ class HistoryTrie:
     offsets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        offs = [0]
+        m, depth = _index(self.n_actions, "n_actions"), _index(self.depth, "depth")
+        levels = tuple(np.array(lvl) for lvl in self.levels)  # copies, made read-only below
+        if m < 1 or len(self.action_names) != m or depth < 0 or len(levels) != depth + 1 or any(
+                lvl.shape != (m ** d,) or lvl.dtype.kind not in "iu" or lvl.min() < 0
+                or lvl.max() >= len(self.label_names) for d, lvl in enumerate(levels)):
+            raise InputError(f"a depth-{depth} trie over {m} actions needs {m} action names and "
+                             f"{depth + 1} levels, level d holding m^d integer observations "
+                             "that index label_names")
+        object.__setattr__(self, "levels", levels)
+        self._seal()
+
+    @classmethod
+    def _trusted(cls, *values) -> "HistoryTrie":
+        """A trie from a fill's levels, complete and in range by construction: unchecked."""
+        trie = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, values):  # every field but offsets
+            object.__setattr__(trie, name, value)
+        trie._seal()  # the fill's own arrays, which it never writes again
+        return trie
+
+    def _seal(self):
         for lvl in self.levels:
             lvl.setflags(write=False)
-            offs.append(offs[-1] + len(lvl))
-        object.__setattr__(self, "offsets", tuple(offs))
+        object.__setattr__(self, "offsets", tuple(accumulate(map(len, self.levels), initial=0)))
 
     @property
     def node_count(self) -> int:
@@ -149,10 +167,7 @@ class HistoryTrie:
         return None if node == 0 else divmod(node - 1, self.n_actions)
 
     def node_at(self, word) -> int:
-        node = 0
-        for a in word:
-            node = self.child(node, a)
-        return node
+        return reduce(self.child, word, 0)
 
     def word_of(self, node: int) -> tuple[int, ...]:
         node = _index(node, "node", self.node_count)
@@ -287,14 +302,14 @@ class _ObservationTable:
             for t in range(depth):
                 stride = m ** (depth - 1 - t)
                 # session i takes action (i // stride) % m: runs of stride, m^t times over
-                obs = self.oracle.step(np.tile(np.arange(m).repeat(stride), m ** t))
+                obs = self.oracle.step(np.arange(m).repeat(stride)[None].repeat(m ** t, 0).ravel())
                 got.append(obs[::stride].copy())
             for ids, obs in zip(levels[len(seen):], got[len(seen):]):
                 self.tree[ids, m] = obs  # the new nodes of levels that had children
             self.asked = self.size
             seen += got[len(seen):]
-        return HistoryTrie(m, depth, self.oracle.action_names, self.oracle.label_names,
-                           tuple(seen[:depth + 1]))
+        return HistoryTrie._trusted(m, depth, self.oracle.action_names, self.oracle.label_names,
+                                    tuple(seen[:depth + 1]))
 
     def _observe(self, starts, acts, lens) -> np.ndarray:
         """The sensor value after each start then its padded row of ``acts``, asking for new words.

@@ -63,8 +63,8 @@ class Partition:
     def _trusted(cls, n_states: int, n_blocks: int, block_of: tuple[int, ...]) -> "Partition":
         """A partition from ints that are canonical by construction, unchecked but for emptiness.
 
-        Only for ids made canonical just before, which ``__post_init__`` would
-        rescan: ``intern_names`` output, the identity and the single block.
+        Only for ids made canonical just before, which ``__post_init__`` would rescan:
+        ``intern_names`` output, first-occurrence ranks, the identity and the single block.
         """
         if n_states < 1:
             raise InputError("block_of must assign a block to every state")
@@ -124,12 +124,7 @@ class Partition:
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The partition as an explicit relation, diagonal included."""
-        out = set()
-        for block in self.blocks():
-            for s in block:
-                for t in block:
-                    out.add((s, t))
-        return frozenset(out)
+        return frozenset((s, t) for block in self.blocks() for s in block for t in block)
 
 
 class _UnionFind:

@@ -1,5 +1,7 @@
 import functools
 import hashlib
+import tracemalloc
+from itertools import product
 from time import perf_counter
 from unittest.mock import patch
 
@@ -209,6 +211,62 @@ class TestExplore:
             explore(make_line(4).unlabeled(), 0, 2)
 
 
+def _trie(levels, n_actions=2, depth=2, labels=("x", "y")):
+    return HistoryTrie(n_actions, depth, ("a", "b", "c")[:n_actions], labels, levels)
+
+
+GOOD_LEVELS = ([0], [1, 0], [0, 1, 1, 0])
+
+
+class TestHistoryTrieChecks:
+    """A trie is built only from complete levels of observations in range."""
+
+    @pytest.mark.parametrize("levels", [
+        pytest.param(GOOD_LEVELS[:2], id="a level too few"),
+        pytest.param(GOOD_LEVELS + ([0] * 8,), id="a level too many"),
+        pytest.param(([0], [1, 0], [0, 1, 1]), id="a short level"),
+        pytest.param(([0], [1, 0], [[0, 1], [1, 0]]), id="a level of rows"),
+        pytest.param(([0], [1.0, 0.0], [0, 1, 1, 0]), id="float observations"),
+        pytest.param(([0], [1, 0], [0, 1, -1, 0]), id="a negative observation"),
+        pytest.param(([0], [1, 2], [0, 1, 1, 0]), id="an observation past the label names"),
+        pytest.param(([0], ["1", "0"], [0, 1, 1, 0]), id="string observations"),
+    ])
+    def test_malformed_levels_raise_input_error(self, levels):
+        with pytest.raises(InputError, match="levels"):
+            _trie(tuple(np.array(lvl) for lvl in levels))
+
+    def test_no_actions_raises_input_error(self):
+        with pytest.raises(InputError, match="levels"):
+            _trie(([0],), n_actions=0, depth=0)
+
+    def test_action_names_must_match_the_action_count(self):
+        with pytest.raises(InputError, match="action names"):
+            HistoryTrie(2, 2, ("a",), ("x", "y"), GOOD_LEVELS)
+
+    def test_short_level_is_refused_before_the_partition(self):
+        # a short level must not reach the reshape in bounded_indistinguishability
+        with pytest.raises(InputError):
+            bounded_indistinguishability(_trie((np.array([0]), np.array([1, 0]),
+                                                np.array([0, 1, 1]))), 1)
+
+    def test_list_levels_are_accepted(self):
+        trie = _trie(GOOD_LEVELS)
+        assert [lvl.tolist() for lvl in trie.levels] == list(GOOD_LEVELS)
+        assert bounded_indistinguishability(trie, 1) == Partition.from_block_of([0, 1, 0])
+
+    def test_caller_arrays_stay_writable_and_apart(self):
+        given = tuple(np.array(lvl, dtype=np.int32) for lvl in GOOD_LEVELS)
+        trie = _trie(given)
+        assert all(lvl.flags.writeable for lvl in given)
+        assert not any(lvl.flags.writeable for lvl in trie.levels)
+        given[2][0] = 1
+        assert trie.observation(3) == 0
+
+    def test_explored_levels_are_read_only(self):
+        trie = explore(make_line(4), 0, 3)
+        assert not any(lvl.flags.writeable for lvl in trie.levels)
+
+
 class TestReachIsHomomorphism:
     def test_commutes_on_interior_nodes(self):
         env = make_line(4)
@@ -267,6 +325,42 @@ class TestBoundedIndistinguishability:
             for horizon in range(depth + 1):
                 assert bounded_indistinguishability(trie, horizon) == \
                     rowsort_bounded_indistinguishability(trie, horizon), (case, horizon)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_the_definition_word_by_word(self, m):
+        # two nodes share a class iff every word of length at most h shows them the
+        # same observation, each looked up by walking the word from the node
+        rng = SplitMix64(1600 + m)
+        depth = (9, 6, 4)[m - 1]
+        for k in (1, 2, 3):
+            trie = random_trie(rng, m, k, depth)
+            for h in range(depth + 1):
+                words = [w for j in range(h + 1) for w in product(range(m), repeat=j)]
+                n = trie.offsets[depth - h + 1]
+                seen = [tuple(trie.observation(trie.node_at(trie.word_of(v) + w)) for w in words)
+                        for v in range(n)]
+                part = bounded_indistinguishability(trie, h)
+                assert part.n_states == n
+                for v in range(n):
+                    for w in range(v, n):
+                        assert part.together(v, w) == (seen[v] == seen[w]), (k, h, v, w)
+
+    def test_peak_memory_on_a_two_million_node_trie(self):
+        # horizon 10 on 2^21 - 1 nodes holds the narrowed observations (2 MiB),
+        # 2,047 continuation rows of 2,047 bytes and np.unique's two copies of
+        # them: 14.06 MiB, pinned with 10% headroom, so that a temporary over
+        # every node per round, or int64 observations, fails here
+        trie = explore(make_random(9, 2, 5), 0, 20)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            part = bounded_indistinguishability(trie, 10)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert part.n_states == 2047
+        assert peak <= 1.1 * 14.06 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
     def test_never_finer_than_the_pulled_back_congruence(self):
         rng = SplitMix64(31)
