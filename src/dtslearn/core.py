@@ -193,15 +193,15 @@ class TransitionSystem:
         return cls(len(delta), len(action_names), action_names, delta, labels, label_names, initial)
 
     @classmethod
-    def _trusted(cls, sys: "TransitionSystem", delta, state_labels, initial) -> "TransitionSystem":
-        """``from_tables`` with the actions of ``sys``, unchecked: for plain-int rows made in range.
+    def _trusted(cls, action_names, delta, state_labels, initial) -> "TransitionSystem":
+        """``from_tables``, unchecked: for distinct names and tuple rows of plain ints in range.
 
-        Only for the tables that ``canonical_form`` and ``quotient`` build from a checked system.
+        Only for ``make_random``'s draws and what ``canonical_form`` and ``quotient`` build.
         """
         out = object.__new__(cls)
         labels, names = (None, None) if state_labels is None else intern_names(state_labels)
-        out.__dict__.update(n_states=len(delta), n_actions=sys.n_actions, delta=delta,
-                            action_names=sys.action_names, labels=labels, label_names=names,
+        out.__dict__.update(n_states=len(delta), n_actions=len(action_names), delta=delta,
+                            action_names=action_names, labels=labels, label_names=names,
                             initial=initial)
         return out
 
@@ -341,7 +341,7 @@ def canonical_form(sys: TransitionSystem, anchor: int) -> tuple[TransitionSystem
     new_delta = _relabeled_rows(sys.delta, bfs, order)
     names = None if sys.labels is None else [sys.label_names[sys.labels[s]] for s in bfs]
     initial = None if sys.initial is None else order[sys.initial]
-    out = TransitionSystem._trusted(sys, new_delta, names, initial)
+    out = TransitionSystem._trusted(sys.action_names, new_delta, names, initial)
     return out, StateMap(sys.n_states, sys.n_states, tuple(order))
 
 

@@ -274,4 +274,4 @@ def make_random(n: int, m: int, seed: int,
     else:
         names = ("a", "b")
         state_labels = [names[rng.below(2)] for _ in range(n)]
-    return TransitionSystem.from_tables(action_names, delta, state_labels, initial=0)
+    return TransitionSystem._trusted(action_names, tuple(map(tuple, delta)), state_labels, 0)

@@ -18,6 +18,7 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 
 from .core import DtsError, InputError, TransitionSystem, _index
@@ -30,6 +31,20 @@ class ParseError(DtsError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # str.splitlines' own
+
+
+def _numbered_lines(text: str):
+    """``enumerate(text.splitlines(), start=1)``, split about 64 KiB at a time, not all at once."""
+    count = pos = 0
+    while pos < len(text):
+        brk = _LINE_BREAK.search(text, pos + (1 << 16))  # a piece ends where a line does
+        end = brk.end() if brk else len(text)
+        lines = text[pos:end].splitlines()
+        yield from enumerate(lines, start=count + 1)
+        count, pos = count + len(lines), end
 
 
 def _content_lines(numbered):
@@ -67,7 +82,7 @@ def _transition(tokens: list[str], line_no: int, n_states: int, action_index: di
 
 def parse_dts(text: str) -> TransitionSystem:
     """Parse the line format above into a validated system."""
-    numbered = enumerate(text.splitlines(), start=1)  # its list is freed once read through
+    numbered = _numbered_lines(text)
     lines = _content_lines(numbered)
 
     def next_line(expect: str):
@@ -155,7 +170,7 @@ def parse_partition(text: str) -> Partition:
     """One block per line, space-separated state indices."""
     blocks = []
     n_states = 0
-    for line_no, tokens in _content_lines(enumerate(text.splitlines(), start=1)):
+    for line_no, tokens in _content_lines(_numbered_lines(text)):
         block = [_parse_count(tok, line_no, "state index") for tok in tokens]
         blocks.append(block)
         n_states += len(block)
@@ -177,7 +192,7 @@ def parse_obstacles(text: str, joints: int, resolution: int) -> frozenset[tuple[
     joints = _index(joints, "joints")
     resolution = _index(resolution, "resolution")
     out = set()
-    for line_no, tokens in _content_lines(enumerate(text.splitlines(), start=1)):
+    for line_no, tokens in _content_lines(_numbered_lines(text)):
         if len(tokens) != joints:
             raise ParseError(line_no, f"expected {joints} joint positions")
         conf = tuple(_parse_count(tok, line_no, "joint position") for tok in tokens)

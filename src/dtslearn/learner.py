@@ -39,6 +39,7 @@ from .observations import (
 from .partitions import Partition
 
 EXPLORE_NODE_BUDGET = 1 << 25
+EXPLORE_LEVEL_BUDGET = 1 << 15  # a level costs a step call and an array; words fit int16
 TRIE_NODES = 1 << 14  # a complete trie this small is cheaper to explore than a table build
 
 
@@ -57,15 +58,13 @@ def explore(env, x0: int | None, depth: int) -> HistoryTrie:
     environment is touched only through the stepping oracle, one session per
     deepest word, and observations of shorter words are read off along the
     way. ``learn`` passes its run's table instead, and the fill asks only for
-    the words that table's tree lacks.
+    the words that table's tree lacks. A trie over the node or the level
+    budget (a depth of ``EXPLORE_LEVEL_BUDGET`` or more) is an ``InputError``.
     """
     table = env if isinstance(env, _ObservationTable) else _ObservationTable(_as_oracle(env, x0))
-    depth = _index(depth, "depth")
-    if depth < 0:
-        raise InputError("depth must be non-negative")
+    depth = _index(depth, "depth", EXPLORE_LEVEL_BUDGET)
     if count_nodes(table.m, depth) > EXPLORE_NODE_BUDGET:
-        raise InputError(
-            f"a depth-{depth} trie over {table.m} actions exceeds the node budget")
+        raise InputError(f"a depth-{depth} trie over {table.m} actions exceeds the node budget")
     return table.fill(depth)
 
 

@@ -66,9 +66,12 @@ class EnvOracle:
         acts = np.asarray(actions)
         if not acts.size:  # [] and () read as floats; no action is a valid id
             return acts.astype(np.int64)
-        if acts.dtype.kind not in "iu" or acts.min() < 0 or acts.max() >= self.n_actions:
+        # one max over an unsigned view: a negative id reads as 2^(w-1) or more, past any signed id
+        top = min(self.n_actions, 1 << 8 * acts.itemsize - (acts.dtype.kind == "i"))
+        if acts.dtype.kind not in "iu" or acts.view(acts.dtype.str.replace("i", "u")).max() >= top:
             raise InputError(f"action ids must be integers from 0 to {self.n_actions - 1}")
-        return acts
+        # 8-byte ids as int64, in their byte order: int64 + uint64 would be float64
+        return acts.view(acts.dtype.str.replace("u", "i")) if acts.itemsize == 8 else acts
 
     def start(self, sessions: int) -> np.ndarray:
         """Begin ``sessions`` parallel runs; returns the initial sensor values."""
@@ -201,8 +204,10 @@ class _ObservationTable:
     """Representatives and a growing suffix set over one observation tree, kept for a whole run.
 
     A word is a node id. ``tree[v]`` holds the child of node ``v`` under each
-    action (0 if none), the sensor value seen at ``v`` (-1 until replayed) and
-    ``parent·m + action``, so a word is spelled out only for the oracle. Node
+    action (0 if none), ``observed[v]`` the sensor value seen at ``v`` (-1
+    until replayed), ``code[v]`` its ``parent·m + action`` and ``length[v]``
+    its word's length, set from the parent's as the node is added; so a word
+    is spelled out only for the oracle. The four arrays grow together. Node
     1 is the empty word, node 0 a blank whose children are itself. Nodes from
     ``asked`` on wait for a replay. ``levels`` holds the nodes of each complete
     level and ``seen`` their observations, words in lexicographic order; the
@@ -216,14 +221,14 @@ class _ObservationTable:
 
     def __init__(self, oracle: EnvOracle):
         self.oracle, self.m = oracle, oracle.n_actions
-        # node ids and parent codes stay below 2^31 until the tree outgrows 8 GiB
-        self.tree = np.zeros((1024, self.m + 2), dtype=np.int32)
-        self.tree[:, self.m] = -1
+        # ids and parent codes stay below 2^31 until the tree outgrows 8 GiB; -1: not replayed
+        self.tree = np.zeros((1024, self.m), np.int32)
+        self.code, self.length = np.zeros(1024, np.int32), np.zeros(1024, np.int16)
+        self.observed = np.full(1024, -1, np.min_scalar_type(-len(oracle.label_names)))
         self.size, self.asked = 2, 1
         self.levels, self.seen = [np.ones(1, dtype=np.int64)], []
         self.suffixes = [()]  # suffixes only grow
-        # observations run from -1 to the label count: the smallest signed type holds them
-        self.slots, self.cache = {}, np.empty((0, 0), np.min_scalar_type(-len(oracle.label_names)))
+        self.slots, self.cache = {}, np.empty((0, 0), self.observed.dtype)
         self._reset()
 
     def _reset(self):
@@ -233,18 +238,22 @@ class _ObservationTable:
 
     def _add(self, keys) -> np.ndarray:
         """New placeholder nodes, one per distinct ``parent·m + action`` code; their ids."""
-        ids = np.arange(self.size, self.size + len(keys))
-        self.size += len(keys)
-        cap = n = len(self.tree)
-        if self.size > cap:  # grow by half until the nodes fit, so the capacity follows the size
-            while cap < self.size:
+        size, cap = self.size + len(keys), len(self.tree)
+        if size > cap:  # grow by half until the nodes fit, so the capacity follows the size
+            n = cap
+            while cap < size:
                 cap += cap // 2
-            # in place, so the old and the new tree are never held at once; safe because
-            # no view of the tree outlives a method call
-            self.tree.resize((cap, self.m + 2), refcheck=False)
-            self.tree[n:] = self.tree[0]  # copies of the blank node 0
-        self.tree[np.divmod(keys, self.m)] = ids
-        self.tree[ids, self.m + 1] = keys
+            # in place, so old and new arrays are never held at once (no view outlives a call)
+            for a in (self.tree, self.code, self.length, self.observed):
+                a.resize((cap,) + a.shape[1:], refcheck=False)
+            self.observed[n:] = -1
+        parent, act = np.divmod(keys, self.m)  # parents may be in this block: then length 0
+        if (length := self.length[parent]).max() == np.iinfo(length.dtype).max:
+            raise InputError(f"words of more than {np.iinfo(length.dtype).max} actions are refused")
+        ids, self.size = np.arange(self.size, size), size
+        self.tree[parent, act] = ids
+        self.code[ids] = keys
+        self.length[ids] = length + 1
         return ids
 
     def _materialize(self):
@@ -255,9 +264,10 @@ class _ObservationTable:
         # the p children of the last level with nodes, then child i % m of b + i // m is b + p + i
         ids = self._add(np.concatenate([(levels[-1][:, None] * m + np.arange(m)).ravel(),
                                         np.arange(b * m, b * m + n - p)]))
-        self.tree[ids, m] = np.concatenate(seen[first:])
-        levels += [ids[p * count_nodes(m, j - 1):p * count_nodes(m, j)]
-                   for j in range(len(seen) - first)]
+        self.observed[ids] = np.concatenate(seen[first:])
+        for j in range(len(seen) - first):  # the parents are in this block: lengths per level
+            levels.append(ids[p * count_nodes(m, j - 1):p * count_nodes(m, j)])
+            self.length[levels[-1]] = first + j
         self.asked = self.size
 
     def _child(self, cur, act) -> np.ndarray:
@@ -286,7 +296,7 @@ class _ObservationTable:
         """
         m, levels, seen = self.m, self.levels, self.seen
         while len(seen) <= len(levels) <= depth:  # no level is kept as observations alone
-            kids = self.tree.take(levels[-1], axis=0)[:, :m]
+            kids = self.tree.take(levels[-1], axis=0)
             if not np.count_nonzero(kids):
                 break
             missing = kids == 0
@@ -296,7 +306,7 @@ class _ObservationTable:
         if len(levels) > depth:
             if self.asked < self.size:
                 self._ask()
-            seen += [self.tree[ids, m] for ids in levels[len(seen):]]
+            seen += [self.observed[ids] for ids in levels[len(seen):]]
         elif len(seen) <= depth:
             got = [self.oracle.start(m ** depth)[:1].copy()]
             for t in range(depth):
@@ -305,7 +315,7 @@ class _ObservationTable:
                 obs = self.oracle.step(np.arange(m).repeat(stride)[None].repeat(m ** t, 0).ravel())
                 got.append(obs[::stride].copy())
             for ids, obs in zip(levels[len(seen):], got[len(seen):]):
-                self.tree[ids, m] = obs  # the new nodes of levels that had children
+                self.observed[ids] = obs  # the new nodes of levels that had children
             self.asked = self.size
             seen += got[len(seen):]
         return HistoryTrie._trusted(m, depth, self.oracle.action_names, self.oracle.label_names,
@@ -328,33 +338,29 @@ class _ObservationTable:
         if self.asked < self.size:
             self._ask()
         out = np.empty(cur.shape, dtype=np.int32)
-        out[order] = self.tree[cur, self.m]
+        out[order] = self.observed[cur]
         return out
 
     def _ask(self):
         """Replay the new leaves (words asked that no other extends), one batch per length.
 
-        Batches run shortest first. The leaves are sorted by length, longest
-        first, so a batch is a contiguous slice and the leaves longer than
-        ``j`` are a prefix.
+        Batches run shortest first. Sorted by stored length, longest first, a batch is a slice
+        and the leaves longer than ``j`` a prefix; paths, as parent codes, are read in slices.
         """
-        m, tree = self.m, self.tree
-        new = np.arange(self.asked, self.size, dtype=np.int32)
-        v = leaves = new[(tree[self.asked:self.size, :m] == 0).all(1)]
-        length = np.zeros(len(leaves), dtype=np.int64)
-        while v.any():  # the root's parent code leads to the blank node 0
-            length += v > 1
-            v = tree[v, m + 1] // m
-        order = np.argsort(-length, kind="stable")
-        length, path = length[order], [leaves[order]]  # path[j]: the nodes j steps above
+        m, observed = self.m, self.observed
+        leaf = reduce(np.logical_and, (self.tree[self.asked:self.size] == 0).T)  # .all(1) is slower
+        leaves = self.asked + np.flatnonzero(leaf)
+        leaves = leaves[np.argsort(-self.length[leaves], kind="stable")]
+        length = self.length[leaves]
+        code = [self.code[leaves]]  # code[j]: parent·m + action of the nodes j steps above
         for live in np.searchsorted(-length, -np.arange(1, length[0])):
-            path.append(tree[path[-1][:live], m + 1] // m)
+            code.append(self.code.take(code[-1][:live] // m))  # take: no intp copy of the ids
         bounds = [0, *(np.flatnonzero(length[1:] != length[:-1]) + 1).tolist(), len(length)]
         for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
-            tree[1, m] = self.oracle.start(hi - lo)[0]
+            observed[1] = self.oracle.start(hi - lo)[0]
             for j in range(int(length[lo]) - 1, -1, -1):
-                v = path[j][lo:hi]
-                tree[v, m] = self.oracle.step(tree[v, m + 1] % m)
+                v = code[j - 1][lo:hi] // m if j else leaves[lo:hi]
+                observed[v] = self.oracle.step(code[j][lo:hi] % m)
         self.asked = self.size
 
     def _rows(self, nodes) -> np.ndarray:
@@ -437,9 +443,9 @@ class _ObservationTable:
                 continue
             cover = np.concatenate([reps, kids, grand])
             states = np.concatenate([np.arange(n), targets, delta[targets[split]].ravel()])
-            word = self._mismatch(cover, states, tests, lens, delta, self.tree[reps, m])
+            word = self._mismatch(cover, states, tests, lens, delta, self.observed[reps])
             if word is None:
-                names = [self.oracle.label_names[label] for label in self.tree[reps, m]]
+                names = [self.oracle.label_names[label] for label in self.observed[reps]]
                 model = TransitionSystem.from_tables(actions, delta.tolist(), names, initial=0)
                 model, report, certified, word = self.check(
                     model, BuildReport(True, True, True, len(self.reps), n), bound, self.suffixes)
@@ -470,7 +476,7 @@ class _ObservationTable:
         """The action word of tree node ``v``."""
         w = ()
         while v > 1:
-            v, a = divmod(int(self.tree[v, self.m + 1]), self.m)
+            v, a = divmod(int(self.code[v]), self.m)
             w = (a,) + w
         return w
 
@@ -484,7 +490,7 @@ class _ObservationTable:
         self._observe(cover[:, None], tests, lens)
         node, state = cover[:, None], states[:, None]
         for j in range(tests.shape[1] + 1):
-            bad = (self.tree[node, self.m] != labels[state]) & (lens >= j)
+            bad = (self.observed[node] != labels[state]) & (lens >= j)
             if bad.any():
                 i, k = np.argwhere(bad)[0]
                 return self._word(cover[i]) + tuple(tests[k, :j].tolist())

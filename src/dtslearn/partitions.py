@@ -461,5 +461,5 @@ def quotient(sys: TransitionSystem, e: Partition) -> tuple[TransitionSystem, Sta
     delta = _relabeled_rows(sys.delta, reps, block_of)
     state_labels = None if labels is None else [sys.label_names[l] for l in rep_labels]
     initial = None if sys.initial is None else block_of[sys.initial]
-    out = TransitionSystem._trusted(sys, delta, state_labels, initial)
+    out = TransitionSystem._trusted(sys.action_names, delta, state_labels, initial)
     return out, StateMap(sys.n_states, e.n_blocks, e.block_of)

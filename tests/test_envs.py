@@ -199,6 +199,20 @@ class TestRandom:
         for seed in range(30):
             assert is_strongly_connected(make_random(2 + seed % 6, 2, seed))
 
+    def test_unchecked_build_equals_a_checked_one(self):
+        # the winner is built without the constructor's checks; a checked build of the
+        # same table and labels must be the same system, down to tuple rows of plain ints
+        grid = product(range(1, 9), range(1, 4), (False, True), (False, True), (5, 2024, -7))
+        for n, m, require_min_dist, pointed, seed in grid:
+            env = make_random(n, m, seed, require_min_dist, pointed)
+            names = [env.label_names[label] for label in env.labels]
+            checked = TransitionSystem.from_tables(
+                [f"u{a}" for a in range(m)], [list(row) for row in env.delta], names, 0)
+            assert env == checked and hash(env) == hash(checked)
+            assert type(env.delta) is tuple and type(env.action_names) is tuple
+            assert {tuple} == set(map(type, env.delta))
+            assert {int} == {type(t) for row in env.delta for t in row}
+
     def test_min_dist_flag_is_honored(self):
         for seed in range(20):
             env = make_random(5, 2, seed, require_min_dist=True)

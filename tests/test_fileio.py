@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from dtslearn import (
     write_partition,
 )
 from dtslearn.envs import ArmSpec, SplitMix64
+from dtslearn.fileio import _numbered_lines
 
 LINE4_TEXT = """\
 dts
@@ -185,6 +187,47 @@ class TestRoundTrip:
         assert parse_dts(write_dts(sys)) == sys
         assert sys.n_labels == n
         assert time.perf_counter() - start < 5.0
+
+
+class TestLazyLines:
+    # every line boundary str.splitlines knows, pairs of them, and characters that are not one
+    _PIECES = ["a", "b c", "#", "", "\n", "\r", "\r\n", "\n\r", "\v", "\f", "\x1c", "\x1d",
+               "\x1e", "\x85", "\u2028", "\u2029", "\t", "\x1f", "\u2027", "\x0e"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+    def test_the_lines_of_splitlines(self, text):
+        assert list(_numbered_lines(text)) == list(enumerate(text.splitlines(), start=1))
+
+    def test_long_texts_are_cut_where_a_line_ends(self):
+        # pieces of about 64 KiB: a cut may fall inside a "\r\n" pair, or find no break
+        rng = SplitMix64(3)
+        for shift in (-2, -1, 0, 1):
+            for brk in ("\n", "\r", "\r\n", "\u2028"):
+                text = "x" * ((1 << 16) + shift) + brk + "y" * 5 + "\r\n" * rng.below(3)
+                assert list(_numbered_lines(text)) == list(enumerate(text.splitlines(), start=1))
+        text = "".join(self._PIECES[rng.below(len(self._PIECES))] for _ in range(100_000))
+        assert list(_numbered_lines(text)) == list(enumerate(text.splitlines(), start=1))
+
+    def test_peak_memory_of_a_large_parse(self):
+        # the 26,970-state arm, 3.4 MiB of text: the parse held every line at once and
+        # peaked at 19.3 MiB; a piece at a time it reads about 10 MiB, the result included
+        rng = SplitMix64(5)
+        obstacles = set()
+        while len(obstacles) < 30:
+            cell = tuple(rng.below(30) for _ in range(3))
+            if cell != (0, 0, 0):
+                obstacles.add(cell)
+        arm = make_arm(ArmSpec(3, 30, frozenset(obstacles), (0, 0, 0)))
+        text = write_dts(arm)
+        tracemalloc.start()
+        try:
+            parsed = parse_dts(text)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert parsed == arm and arm.n_states == 26_970
+        assert peak <= 11, peak
 
 
 class TestPartitionFormat:

@@ -200,6 +200,26 @@ class TestExplore:
                 with pytest.raises(InputError, match="out of range"):
                     call(bad)
 
+    def test_one_action_depths_are_bounded_by_levels(self):
+        # one node per level: the node budget alone would allow a depth of 2^25 - 1,
+        # a step call and an array per level, minutes and gigabytes before an answer
+        env = make_random(3, 1, 5)
+        t0 = perf_counter()
+        for depth in (learner.EXPLORE_LEVEL_BUDGET, 1 << 18, (1 << 25) - 1, 10 ** 12):
+            oracle = EnvOracle(env, 0)
+            with pytest.raises(InputError, match="depth"):
+                explore(oracle, None, depth)
+            assert (oracle.resets, oracle.steps) == (0, 0)
+        assert perf_counter() - t0 < 0.5
+
+    def test_the_deepest_one_action_trie_of_a_learn(self):
+        # learn fills one-action tries up to TRIE_NODES nodes: depth 16,383
+        env, depth = make_random(3, 1, 5), learner.TRIE_NODES - 1
+        assert count_nodes(1, depth) == learner.TRIE_NODES and depth == 16383
+        trie = explore(env, 0, depth)
+        assert (trie.depth, trie.node_count) == (depth, depth + 1)
+        assert [int(lvl[0]) for lvl in trie.levels] == EnvOracle(env, 0).walk([0] * depth)
+
     def test_observations_match_env_walks(self):
         env = make_line(4)
         trie = explore(env, 0, 4)
@@ -804,6 +824,71 @@ class TestRowCache:
                 assert seen in (-1, obs(table, v, e))
 
 
+class _RecordedTable(observations._ObservationTable):
+    """The observation table, with every instance a learn makes kept in ``made``."""
+
+    made = []
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.made.append(self)
+
+
+class TestObservationTree:
+    """What the run's one tree keeps per node: its observation and its word's length."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2 ** 64 - 1), st.booleans(),
+           st.booleans(), st.booleans())
+    def test_every_node_holds_its_words_observation_and_length(self, n, m, seed, pointed,
+                                                               bounded, tries):
+        # with no trie depths every word is replayed by _ask, so a replay that writes the
+        # wrong node, or skips one, leaves a node unobserved or observed wrong; with them,
+        # filled levels become nodes a block at a time
+        env = make_random(n, m, seed, pointed=pointed)
+        _RecordedTable.made.clear()
+        with patch.object(learner, "TRIE_NODES", learner.TRIE_NODES if tries else 0), \
+                patch.object(learner, "_ObservationTable", _RecordedTable):
+            learn(EnvOracle(env, 0), None, 2 * n + 6, min_depth=2 * n if bounded else 2)
+        (table,) = _RecordedTable.made
+        assert table.asked == table.size
+        assert table.observed[0] == -1 and not table.tree[0].any()  # the blank node
+        for v in range(1, table.size):
+            word = table._word(v)
+            assert table.observed[v] == env.labels[star(env, 0, word)], (v, word)
+            assert table.length[v] == len(word), (v, word)
+
+    def test_words_past_int16_lengths_are_refused(self):
+        # one action, so a word of 32,767 actions is as many nodes, each added from its
+        # parent, and one session replays it; a word one action longer would not fit the
+        # int16 lengths and is refused before any session starts
+        env, n = make_random(3, 1, 5), (1 << 15) - 1
+        table = observations._ObservationTable(EnvOracle(env, 0))
+        table._observe(np.ones(1, dtype=np.int64), np.zeros((1, n), dtype=np.int64),
+                       np.array([n]))
+        assert table.size == n + 2 and table.oracle.resets == 1
+        assert table.length[1:n + 2].tolist() == list(range(n + 1))
+        assert table.observed[1:n + 2].tolist() == EnvOracle(env, 0).walk([0] * n)
+        with pytest.raises(InputError, match="32767 actions"):
+            table._observe(np.array([n + 1]), np.zeros((1, 1), dtype=np.int64), np.array([1]))
+        assert (table.size, table.oracle.resets) == (n + 2, 1)
+
+    @pytest.mark.parametrize("resolution, mib", [(6, 8.19), (7, 8.82)])
+    def test_peak_memory_of_the_arm_learns(self, resolution, mib):
+        # the peaks read with int16 lengths, int32 codes and narrow observations kept apart
+        # from the children; one (m + 2)-column int32 tree read 8.83 and 9.60 MiB, and
+        # replay paths stacked to the full depth 11.32 and 13.03 MiB
+        env = make_arm(ArmSpec(2, resolution, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        tracemalloc.start()
+        try:
+            _, report = learn(env, env.initial, 68)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak <= 1.05 * mib, peak
+
+
 class TestCertificate:
     """The W-method suite that certifies a minimal model under a state bound."""
 
@@ -896,6 +981,38 @@ class TestOracle:
         assert (oracle.resets, oracle.steps) == (3, 0)
         assert oracle.step(np.array([1, 1, 0])).tolist() == [1, 1, 0]
         assert oracle.steps == 3
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8,
+                                       np.uint64, ">i4", ">u8"])
+    def test_action_ids_of_every_width(self, dtype):
+        # -1 wraps to the largest value of an unsigned type; both ends are refused, in
+        # either byte order
+        oracle = EnvOracle(make_line(4), 0)
+        for bad in (-1, 2):
+            with pytest.raises(InputError, match="action ids"):
+                oracle.walk(np.array([1, bad]).astype(dtype))
+        oracle.start(2)
+        for bad in (-1, 2):
+            with pytest.raises(InputError, match="action ids"):
+                oracle.step(np.array([0, bad]).astype(dtype))
+        assert (oracle.resets, oracle.steps) == (2, 0)
+        assert oracle.step(np.array([1, 1], dtype=dtype)).tolist() == [1, 1]
+        assert oracle.step(np.array(0, dtype=dtype)).tolist() == [0, 0]
+        assert oracle.walk(np.array([1, 1, 0], dtype=dtype)) == [0, 1, 1, 1]
+
+    def test_action_ids_past_a_narrow_signed_type(self):
+        # 200 actions, more than int8 holds: a negative int8 or int16 id is still refused,
+        # and every uint8 id below 200 is valid
+        env = TransitionSystem.from_tables([f"a{a}" for a in range(200)], [[0] * 200], ["x"], 0)
+        oracle = EnvOracle(env, 0)
+        oracle.start(1)
+        for bad in (np.array([-1], dtype=np.int8), np.array([-128], dtype=np.int8),
+                    np.array([-1], dtype=np.int16), np.array([200], dtype=np.uint8)):
+            with pytest.raises(InputError):
+                oracle.step(bad)
+        for good in (np.array([127], dtype=np.int8), np.array([199], dtype=np.uint8)):
+            assert oracle.step(good).tolist() == [0]
+        assert oracle.steps == 2
 
     def test_step_before_start_is_refused_and_counts_nothing(self):
         oracle = EnvOracle(make_line(4), 0)
