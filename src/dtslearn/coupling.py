@@ -234,8 +234,8 @@ def has_nontrivial_autobisimulation(env: TransitionSystem) -> bool:
 
     The greatest autobisimulation of a deterministic system is the coarsest
     congruence refining its sensor partition, so this is one ``msr`` call,
-    O(m·n·log n): a symmetry exists iff that congruence is not the
-    identity. The acceptance suite cross-checks it against
-    ``greatest_bisimulation_pairwise``.
+    O(m·n·log n), one pass per splitter over every action: a symmetry
+    exists iff that congruence is not the identity. The acceptance suite
+    cross-checks it against ``greatest_bisimulation_pairwise``.
     """
     return not msr(env, partition_from_labels(env)).is_identity

@@ -4,16 +4,17 @@ A partition stores one block id per state. Blocks are numbered by their
 smallest member, ascending, which makes equality of partitions bit-exact.
 The central operation is ``msr``: the coarsest refinement of a partition
 that is stable under every action (a congruence). One engine, ``_refine``,
-computes it by Hopcroft's "process the smaller half" splitting in
-O(m·n·log n) for n states and m actions; bisimulation and symmetry
-detection in ``coupling`` run on the same engine. ``msr_bruteforce`` is an
-enumeration oracle for it on small state sets.
+computes it by Hopcroft splitting in O(m·n·log n) for n states and m
+actions: each splitter is processed once over every action, and every
+piece of a split block but the largest is queued. Bisimulation and
+symmetry detection in ``coupling`` run on the same engine.
+``msr_bruteforce`` is an enumeration oracle for it on small state sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, chain, product
 
 from .core import (
     InputError,
@@ -267,112 +268,100 @@ def _refine(n: int, n_actions: int, delta, block_of) -> list[int]:
     ``block_of`` holds dense block ids ``0..k-1``. Returns one block id per
     state, not canonically numbered.
 
-    Hopcroft's algorithm over Valmari and Lehtinen's refinable partition:
-    ``elems`` lists the states block by block, ``loc`` is the inverse
-    permutation, block ``b`` occupies ``elems[first[b]:end[b]]`` and the
-    marked states of ``b`` are moved to ``elems[first[b]:mid[b]]``. Each
-    splitter block marks its predecessors under one action at a time, read
-    from a CSR inverse of ``delta``; every touched block then splits off
-    the smaller of its marked and unmarked parts as a new block. The new
-    block is always the one queued as a splitter: if the old block was
-    still queued, both halves are; if not, the old block's stability is
-    already implied and only the smaller half is needed. A state is queued
-    again only in a block at most half as big as before, so it takes part
-    in O(log n) splitters and the run is O(m·n·log n).
+    Hopcroft's algorithm, one pass per splitter over every action. The
+    cells ``s·m + a`` with ``delta[s][a] == t`` are ``pred[off[t]:off[t + 1]]``,
+    from one bucket sort of the n·m cells by target. A popped splitter
+    records, for each state with a successor in it, the mask of actions
+    leading there; a state of a one-state block is skipped, since such a
+    block never splits. Every touched block then splits by mask, its
+    unmarked rest being one more piece. The largest piece keeps the block's
+    id and every other piece is queued as a new block: if the old block was
+    still queued it stays queued, so all pieces are; if not, its stability
+    is already implied and stability under all pieces but one implies it
+    under that one. A queued piece is at most half its old block, so a
+    state takes part in O(log n) splitters and the run is O(m·n·log n).
+
+    A block of two or more states is a set; a one-state block is a 1-tuple
+    and its state is flagged in ``single``, which the marking skips.
     """
-    # CSR inverse: the predecessors of t under a are pred[off[a*n+t]:off[a*n+t+1]]
-    off = [0] * (n_actions * n + 1)
-    for row in delta:
-        for a, t in enumerate(row):
-            off[a * n + t + 1] += 1
-    for k in range(n_actions * n):
-        off[k + 1] += off[k]
-    fill = off[:-1]
-    pred = [0] * (n_actions * n)
-    for s, row in enumerate(delta):
-        for a, t in enumerate(row):
-            k = a * n + t
-            pred[fill[k]] = s
-            fill[k] += 1
-    del fill
+    m = n_actions
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for code, t in enumerate(chain.from_iterable(delta)):
+        buckets[t].append(code)
+    off = [0, *accumulate(map(len, buckets))]
+    pred = list(chain.from_iterable(buckets))
+    del buckets
 
-    # the initial blocks, laid out by a counting sort on block_of
-    n_blocks = max(block_of) + 1
-    end = [0] * n_blocks
-    for b in block_of:
-        end[b] += 1
-    first = [0] * n_blocks
-    total = 0
-    for b in range(n_blocks):
-        first[b] = total
-        total += end[b]
-        end[b] = total
-    mid = first[:]
+    members: list = [[] for _ in range(max(block_of) + 1)]
+    for s, b in enumerate(block_of):
+        members[b].append(s)
     sidx = list(block_of)
-    elems = [0] * n
-    loc = [0] * n
-    for s in range(n):
-        k = mid[sidx[s]]
-        elems[k] = s
-        loc[s] = k
-        mid[sidx[s]] = k + 1
-    mid = first[:]
-
+    single = bytearray(n)
+    for b, block in enumerate(members):
+        if len(block) == 1:
+            members[b] = (block[0],)
+            single[block[0]] = 1
+        else:
+            members[b] = set(block)
     # Every block but one largest is a splitter to start with: the preimage
     # of all states is all states, so the last block follows from the rest.
-    largest = max(range(n_blocks), key=lambda b: end[b] - first[b])
-    work = [b for b in range(n_blocks) if b != largest]
-    touched: list[int] = []
+    sizes = list(map(len, members))
+    largest = sizes.index(max(sizes))
+    work = [b for b in range(len(members)) if b != largest]
+    touched: dict[int, dict[int, int]] = {}  # block -> {marked state: action mask}
     while work:
-        splitter = work.pop()
-        members = elems[first[splitter]:end[splitter]]
-        for base in range(0, n_actions * n, n):
-            for t in members:
-                for k in range(off[base + t], off[base + t + 1]):
-                    # delta is a function, so each state is marked at most
-                    # once per action and needs no "already marked" test
-                    s = pred[k]
+        for t in members[work.pop()]:
+            for code in pred[off[t]:off[t + 1]]:
+                s = code // m
+                if not single[s]:
                     b = sidx[s]
-                    j = mid[b]
-                    if j == first[b]:
-                        touched.append(b)
-                    i = loc[s]
-                    u = elems[j]
-                    elems[j] = s
-                    loc[s] = j
-                    elems[i] = u
-                    loc[u] = i
-                    mid[b] = j + 1
-            for b in touched:
-                lo, cut, hi = first[b], mid[b], end[b]
-                if cut == hi:  # every member marked: nothing to split
-                    mid[b] = lo
+                    bit = 1 << (code - s * m)
+                    marks = touched.get(b)
+                    if marks is None:
+                        touched[b] = {s: bit}
+                    else:
+                        marks[s] = marks.get(s, 0) | bit
+        for b, marks in touched.items():
+            block = members[b]
+            if len(set(marks.values())) == 1:
+                if len(marks) == len(block):  # every member marked alike
                     continue
-                new = len(first)
-                if cut - lo <= hi - cut:  # the marked part is the smaller
-                    first.append(lo)
-                    end.append(cut)
-                    first[b] = cut
-                    mid[b] = cut
-                    new_lo, new_hi = lo, cut
-                else:
-                    first.append(cut)
-                    end.append(hi)
-                    end[b] = cut
-                    mid[b] = lo
-                    new_lo, new_hi = cut, hi
-                mid.append(new_lo)
-                for k in range(new_lo, new_hi):
-                    sidx[elems[k]] = new
+                pieces = [set(marks)]
+            else:
+                groups: dict[int, list[int]] = {}
+                for s, mask in marks.items():
+                    group = groups.get(mask)
+                    if group is None:
+                        groups[mask] = [s]
+                    else:
+                        group.append(s)
+                pieces = list(map(set, groups.values()))
+            if len(marks) < len(block):
+                block.difference_update(marks)
+                pieces.append(block)
+            keep = max(pieces, key=len)
+            for piece in pieces:
+                new = b if piece is keep else len(members)
+                if len(piece) == 1:
+                    (s,) = piece
+                    piece = (s,)
+                    single[s] = 1
+                if new == b:
+                    members[b] = piece
+                    continue
+                for s in piece:
+                    sidx[s] = new
+                members.append(piece)
                 work.append(new)
-            touched.clear()
+        touched.clear()
     return sidx
 
 
 def msr(sys: TransitionSystem, e: Partition) -> Partition:
     """Coarsest refinement of ``e`` stable under every action.
 
-    Hopcroft splitting on the smaller half (see ``_refine``), in
+    Hopcroft splitting (see ``_refine``): one pass per splitter over every
+    action, every piece of a split block but the largest queued, in
     O(m·n·log n) time and O(m·n) memory for n states and m actions. The
     result refines ``e``, is sufficient, and is refined by every sufficient
     refinement of ``e``; it is unique, so its canonical numbering makes it

@@ -6,6 +6,8 @@ until nothing changes. It is quadratic but obviously right, so it serves as
 the reference here, next to ``greatest_bisimulation_pairwise``.
 """
 
+import tracemalloc
+
 import pytest
 
 from dtslearn import (
@@ -102,6 +104,57 @@ class TestMsrAgainstMooreRounds:
         for e in [partition_from_labels(arm)] + [rand_partition(rng, arm.n_states)
                                                  for _ in range(5)]:
             assert msr(arm, e) == moore_msr(arm, e)
+
+
+class TestMultiWaySplits:
+    """One splitter, every action: a touched block splits into all its mask pieces."""
+
+    def test_unmarked_rest_leaves_a_block_kept_by_its_marked_piece(self):
+        # the splitter {3} marks {0, 1}, the larger piece of {0, 1, 2}, which keeps
+        # the block's id; the unmarked rest {2} must still become a block of its own
+        sys = TransitionSystem.from_tables(("a", "b"), ((3, 2), (3, 0), (2, 1), (1, 0)))
+        e = Partition.from_block_of((0, 0, 0, 1))
+        assert msr(sys, e) == moore_msr(sys, e) == Partition.identity(4)
+
+    def test_one_splitter_cuts_a_block_into_four_pieces(self):
+        # under {8}: {0, 1} by action a only, {2, 3} by b only, {4, 5} by both,
+        # and the unmarked rest {6, 7}
+        delta = ((8, 0), (8, 1), (2, 8), (3, 8), (8, 8), (8, 8), (6, 6), (7, 7), (8, 8))
+        sys = TransitionSystem.from_tables(("a", "b"), delta)
+        e = Partition.from_block_of((0,) * 8 + (1,))
+        want = Partition.from_blocks(9, [[0, 1], [2, 3], [4, 5], [6, 7], [8]])
+        assert msr(sys, e) == moore_msr(sys, e) == want
+
+    def test_a_queued_block_stays_queued_when_it_splits(self):
+        # {1, 4} is queued from the start when the splitter {2} cuts it; {4} keeps its
+        # id, and only its turn as a splitter separates 3 from 0
+        sys = TransitionSystem.from_tables(("a",), ((0,), (3,), (0,), (4,), (2,)))
+        e = Partition.from_block_of((0, 1, 2, 0, 1))
+        assert msr(sys, e) == moore_msr(sys, e) == Partition.identity(5)
+
+    def test_small_systems_with_many_actions(self):
+        # up to 2^5 masks a block can split into
+        rng = SplitMix64(104)
+        for _ in range(400):
+            sys = random_system(rng, 2 + rng.below(9), 1 + rng.below(5))
+            for e in (partition_from_labels(sys), rand_partition(rng, sys.n_states),
+                      Partition.single_block(sys.n_states)):
+                assert msr(sys, e) == moore_msr(sys, e)
+
+    def test_peak_memory_on_the_27000_state_arm(self):
+        # the index holds one code per cell and a block is a set, or a 1-tuple when it
+        # has one state: about 12 MiB; a per-action index with a swap layout took
+        # 14.29 MiB, and sets for one-state blocks too take 16.3
+        arm = make_arm(ArmSpec(3, 30, frozenset(), (0, 0, 0)))
+        e = partition_from_labels(arm)
+        tracemalloc.start()
+        try:
+            part = msr(arm, e)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert part.is_identity and arm.n_states == 27_000
+        assert peak <= 13.5, peak
 
 
 class TestBisimulationAgainstPairwise:
