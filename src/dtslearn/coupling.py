@@ -11,6 +11,8 @@ exploratory: their transitions read the action, never the sensor value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import indexOf
 
 from .core import (
     InputError,
@@ -28,33 +30,32 @@ class ProductSystem:
     """Reachable part of an environment coupled to an internal system.
 
     ``pairs`` lists the reachable (environment state, internal state) pairs
-    in BFS order from the pair of initial states; ``pair_delta`` is the
-    product transition table over pair indices. Parent links record, for
-    each pair, the BFS tree edge used to reach it first.
+    in BFS order from ``pairs[0]``, the pair of initial states; ``pair_delta``
+    is the product transition table over pair indices. So the table is its own
+    BFS tree: pair ``p > 0`` is first entered through the first cell naming it.
     """
 
     env: TransitionSystem
     internal: TransitionSystem
-    x0: int
-    i0: int
     pairs: tuple[tuple[int, int], ...]
     pair_delta: tuple[tuple[int, ...], ...]
-    parent_pair: tuple[int, ...]
-    parent_action: tuple[int, ...]
 
     def access_word(self, pair_index: int) -> tuple[int, ...]:
-        """Shortest, lexicographically first action word reaching the pair."""
+        """Shortest, lexicographically first action word reaching the pair.
+
+        The first cell ``p·m + a`` naming a pair gives its BFS parent ``p`` and action ``a``.
+        """
         word = []
-        p = pair_index
-        while self.parent_pair[p] >= 0:
-            word.append(self.parent_action[p])
-            p = self.parent_pair[p]
+        p = _index(pair_index, "pair", len(self.pairs))
+        while p:
+            p, a = divmod(indexOf(chain.from_iterable(self.pair_delta), p), self.env.n_actions)
+            word.append(a)
         return tuple(reversed(word))
 
 
 def couple(env: TransitionSystem, internal: TransitionSystem,
            x0: int, i0: int) -> ProductSystem:
-    """BFS the reachable product of an environment and an internal system."""
+    """BFS the reachable product, pairs numbered as first met: ``access_word`` needs no more."""
     if env.labels is None:
         raise InputError("the environment must be labeled")
     if env.action_names != internal.action_names:
@@ -63,10 +64,8 @@ def couple(env: TransitionSystem, internal: TransitionSystem,
     i0 = _index(i0, "internal state", internal.n_states)
     index = {(x0, i0): 0}
     pairs = [(x0, i0)]
-    parent_pair = [-1]
-    parent_action = [-1]
     rows: list[tuple[int, ...]] = []
-    for p, (x, i) in enumerate(pairs):  # pairs grows as the BFS discovers them
+    for x, i in pairs:  # pairs grows as the BFS discovers them
         row = []
         for a in range(env.n_actions):
             nxt = (env.delta[x][a], internal.delta[i][a])
@@ -74,12 +73,9 @@ def couple(env: TransitionSystem, internal: TransitionSystem,
             if q is None:
                 q = index[nxt] = len(pairs)
                 pairs.append(nxt)
-                parent_pair.append(p)
-                parent_action.append(a)
             row.append(q)
         rows.append(tuple(row))
-    return ProductSystem(env, internal, x0, i0, tuple(pairs), tuple(rows),
-                         tuple(parent_pair), tuple(parent_action))
+    return ProductSystem(env, internal, tuple(pairs), tuple(rows))
 
 
 def diamond(prod: ProductSystem, seq) -> tuple[int, int]:
@@ -152,14 +148,16 @@ def _union_blocks(env: TransitionSystem, internal: TransitionSystem) -> list[int
     """Bisimulation classes of the disjoint union of the two systems.
 
     Environment states keep their indices; internal state ``i`` becomes
-    ``env.n_states + i``. Refinement starts from one block per label name,
-    so labels are compared by name.
+    ``env.n_states + i``. The union's rows are never stored: ``_refine``
+    reads them once, so ``env.delta`` and then the shifted internal rows are
+    streamed into it. Refinement starts from one block per label name, so
+    labels are compared by name.
     """
     shift = env.n_states
-    delta = env.delta + tuple(tuple(t + shift for t in row) for row in internal.delta)
+    rows = chain(env.delta, (map(shift.__add__, row) for row in internal.delta))
     names = [env.label_names[l] for l in env.labels]
     names += [internal.label_names[l] for l in internal.labels]
-    return _refine(shift + internal.n_states, env.n_actions, delta, intern_names(names)[0])
+    return _refine(shift + internal.n_states, env.n_actions, rows, intern_names(names)[0])
 
 
 def greatest_bisimulation(

@@ -264,9 +264,9 @@ def is_sufficient(
 def _refine(n: int, n_actions: int, delta, block_of) -> list[int]:
     """Coarsest refinement of ``block_of`` stable under every action.
 
-    ``delta[s][a]`` is the successor of state ``s`` under action ``a``;
-    ``block_of`` holds dense block ids ``0..k-1``. Returns one block id per
-    state, not canonically numbered.
+    ``delta`` yields each state's row of successors, states in order, and is
+    read once, in the bucket sort. ``block_of`` holds dense block ids
+    ``0..k-1``. Returns one block id per state, not canonically numbered.
 
     Hopcroft's algorithm, one pass per splitter over every action. The
     cells ``s·m + a`` with ``delta[s][a] == t`` are ``pred[off[t]:off[t + 1]]``,

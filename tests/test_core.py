@@ -420,6 +420,17 @@ class TestIsomorphism:
         ok, _ = are_isomorphic(line, cycle, anchored=False)
         assert not ok
 
+    def test_unanchored_witness_keeps_label_names(self):
+        # without anchors every state of b is tried; only the one the click moved to fits
+        env = make_random(6, 2, 31, pointed=True)
+        perm = [4, 0, 5, 2, 1, 3]
+        other = replace(permuted_copy(env, perm), initial=None)
+        ok, witness = are_isomorphic(env, other, anchored=False)
+        assert ok
+        assert witness.map == tuple(perm)
+        assert witness.is_surjective() and is_homomorphism(witness, env, other)
+        assert all(env.label_name_of(s) == other.label_name_of(witness(s)) for s in range(6))
+
     def test_alphabet_mismatch_is_an_error(self):
         with pytest.raises(InputError):
             are_isomorphic(make_line(4), make_cycle(4))

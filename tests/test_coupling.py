@@ -1,6 +1,10 @@
+import tracemalloc
+from collections import deque
+
 import pytest
 
 from dtslearn import (
+    ArmSpec,
     InputError,
     PreconditionError,
     TransitionSystem,
@@ -12,12 +16,17 @@ from dtslearn import (
     induced_label,
     is_surpriseless,
     learn,
+    make_arm,
     make_cycle,
     make_line,
     make_random,
+    msr,
+    partition_from_labels,
+    quotient,
     star,
     with_induced_labels,
 )
+from dtslearn.acceptance import _rand_partition
 from dtslearn.envs import SplitMix64
 
 
@@ -59,6 +68,119 @@ class TestCouple:
         env = make_line(4)
         with pytest.raises(InputError):
             couple(env.unlabeled(), one_state(env), 0, 0)
+
+
+def reference_access_words(env, internal, x0, i0):
+    """Each reachable pair's first BFS word, from explicit parent links; pairs in BFS order."""
+    parent = {(x0, i0): None}
+    queue = deque([(x0, i0)])
+    order = []
+    while queue:
+        pair = queue.popleft()
+        order.append(pair)
+        x, i = pair
+        for a in range(env.n_actions):
+            nxt = (env.delta[x][a], internal.delta[i][a])
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    words = {}
+    for pair in order:
+        word, link = [], parent[pair]
+        while link is not None:
+            pair_above, a = link
+            word.append(a)
+            link = parent[pair_above]
+        words[pair] = tuple(reversed(word))
+    return order, words
+
+
+def random_coupling(rng, kind):
+    """An environment and an internal system as the surprise/bisimulation check draws them."""
+    n = 2 + rng.below(5)
+    env = make_random(n, 2, rng.next_u64(), pointed=bool(rng.below(2)))
+    if kind == 0:
+        return env, one_state(env), 0
+    if kind == 1:
+        model = learned_model(env)
+        return env, model, model.initial
+    internal, projection = quotient(env.unlabeled(), msr(env, _rand_partition(rng, n)))
+    return env, internal, projection(0)
+
+
+@pytest.fixture(scope="module")
+def arm_and_quotient():
+    arm = make_arm(ArmSpec(3, 30, frozenset(), (0, 0, 0)))
+    return arm, quotient(arm, msr(arm, partition_from_labels(arm)))[0]
+
+
+class TestAccessWords:
+    def test_a_pair_entered_twice_takes_its_first_entry(self):
+        # state 3 is entered from 1 and from 2, and 1 and 2 only from 0: a walk through
+        # a later entry than the first would end, but spell b a, not a a
+        env = TransitionSystem.from_tables(("a", "b"), [[1, 2], [3, 0], [3, 0], [0, 0]],
+                                           ["x", "y", "y", "z"], initial=0)
+        prod = couple(env, env, 0, 0)
+        assert [prod.access_word(p) for p in range(4)] == [(), (0,), (1,), (0, 0)]
+
+    def test_random_couplings_against_parent_links(self):
+        rng = SplitMix64(25)
+        outcomes = set()
+        for k in range(60):
+            env, internal, i0 = random_coupling(rng, k % 3)
+            prod = couple(env, internal, 0, i0)
+            order, words = reference_access_words(env, internal, 0, i0)
+            assert prod.pairs == tuple(order)
+            for p, pair in enumerate(prod.pairs):
+                assert prod.access_word(p) == words[pair]
+                assert diamond(prod, prod.access_word(p)) == pair
+            outcomes.add((k % 3, is_surpriseless(prod)[0]))
+        # every kind but the one-state internal (surprised unless the labels are uniform)
+        # is seen surprised and not
+        assert {(1, True), (2, True), (2, False), (0, False)} <= outcomes
+
+    def test_out_of_range_pair(self):
+        prod = couple(make_line(4), one_state(make_line(4)), 0, 0)
+        for bad in (-1, 4):
+            with pytest.raises(InputError, match="out of range"):
+                prod.access_word(bad)
+
+    def test_deep_witness_on_the_27000_state_arm(self, arm_and_quotient):
+        # the internal system tracks joint 0 modulo 10, so only ten j0+ steps bring
+        # its state 0 back, while the arm has moved off the click
+        arm, _ = arm_and_quotient
+        delta = [[(c // 900 % 10 * 900 + c % 900) for c in row] for row in arm.delta[:9000]]
+        internal = TransitionSystem(9000, 6, arm.action_names, delta)
+        prod = couple(arm, internal, 0, 0)
+        assert len(prod.pairs) == 27_000
+        assert is_surpriseless(prod) == (False, ((), (0,) * 10))
+
+
+class TestPeakMemory:
+    # the product keeps its pairs and its table, nothing the table determines: parent
+    # links kept beside them took 8.0 MiB
+    def test_couple_on_the_27000_state_arm(self, arm_and_quotient):
+        arm, q = arm_and_quotient
+        tracemalloc.start()
+        try:
+            prod = couple(arm, q, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert len(prod.pairs) == 27_000
+        assert peak <= 7.6, peak
+
+    # the union's rows stream into the refinement: a stored union table took 32.3 MiB
+    def test_are_bisimilar_on_the_27000_state_arm(self, arm_and_quotient):
+        arm, q = arm_and_quotient
+        tracemalloc.start()
+        try:
+            bisimilar = are_bisimilar(arm, q, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert bisimilar
+        assert peak <= 27, peak
 
 
 class TestDiamond:

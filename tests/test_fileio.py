@@ -279,6 +279,14 @@ class TestDot:
     def test_initial_state_is_highlighted(self):
         assert "doublecircle" in to_dot(make_line(4))
 
+    def test_trie_without_classes_has_an_edge_per_inner_node_and_action(self):
+        dot = trie_to_dot(explore(make_line(4), 0, 1))
+        assert dot == ('digraph trie {\n  rankdir=TB;\n'
+                       '  0 [label="0\\ngreen" shape=circle];\n'
+                       '  1 [label="1\\ngreen" shape=circle];\n'
+                       '  2 [label="2\\nwhite" shape=circle];\n'
+                       '  0 -> 1 [label="L"];\n  0 -> 2 [label="R"];\n}\n')
+
     def test_trie_clusters_match_the_classes(self):
         env = make_line(4)
         trie = explore(env, 0, 6)

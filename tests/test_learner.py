@@ -169,6 +169,13 @@ class TestExplore:
         trie = explore(make_cycle(4), 0, 5)
         assert trie.node_count == count_nodes(2, 5) == 2 ** 6 - 1
 
+    def test_node_budget_refuses_before_any_session(self):
+        oracle = EnvOracle(make_random(3, 2, 5), 0)
+        assert count_nodes(2, 25) == 2 ** 26 - 1 > learner.EXPLORE_NODE_BUDGET
+        with pytest.raises(InputError, match="depth-25 trie over 2 actions exceeds the node budget"):
+            explore(oracle, None, 25)
+        assert (oracle.resets, oracle.steps) == (0, 0)
+
     def test_single_action_trie_is_a_path(self):
         env = TransitionSystem.from_tables(("spin",), [[1], [0]], ["on", "off"], 0)
         trie = explore(env, 0, 5)
@@ -462,6 +469,12 @@ class TestLearn:
         model, report = learn(env, 0, 4)
         assert not report.converged
         assert report.depth_converged is None
+
+    def test_summary_reports_no_convergence(self):
+        _, report = learn(make_line(4), 0, 4)
+        assert report.summary().splitlines()[-2:] == [
+            "no convergence by depth 4",
+            f"oracle calls: {report.oracle_resets} resets, {report.oracle_steps} steps"]
 
     def test_learner_touches_only_the_oracle(self):
         env = make_line(4)
