@@ -39,8 +39,16 @@ from .partitions import (
 )
 
 
+def _read(path: str) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 is an ``InputError``, not a traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def _load(path: str):
-    return parse_dts(Path(path).read_text())
+    return parse_dts(_read(path))
 
 
 def _format_word(word, action_names) -> str:
@@ -61,14 +69,14 @@ def _cmd_gen(args) -> int:
     elif args.env == "arm":
         obstacles = frozenset()
         if args.obstacles:
-            obstacles = parse_obstacles(Path(args.obstacles).read_text(),
+            obstacles = parse_obstacles(_read(args.obstacles),
                                         args.joints, args.resolution)
         click = (0,) * args.joints
         sys_ = make_arm(ArmSpec(args.joints, args.resolution, obstacles, click))
     else:
         sys_ = make_random(args.n, args.actions, args.seed,
                            require_min_dist=args.min_dist, pointed=args.pointed)
-    Path(args.out).write_text(write_dts(sys_))
+    Path(args.out).write_text(write_dts(sys_), encoding="utf-8")
     print(f"wrote {sys_.n_states}-state system to {args.out}")
     return 0
 
@@ -90,7 +98,7 @@ def _cmd_check(args) -> int:
 def _cmd_msr(args) -> int:
     sys_ = _load(args.infile)
     if args.partition:
-        e = parse_partition(Path(args.partition).read_text())
+        e = parse_partition(_read(args.partition))
     else:
         e = partition_from_labels(sys_)
     result = msr(sys_, e)
@@ -99,16 +107,16 @@ def _cmd_msr(args) -> int:
         if result != reference:
             raise CheckError("refinement disagrees with the brute-force oracle")
         print("oracle agreement confirmed")
-    Path(args.out).write_text(write_partition(result))
+    Path(args.out).write_text(write_partition(result), encoding="utf-8")
     print(f"wrote {result.n_blocks}-block partition to {args.out}")
     return 0
 
 
 def _cmd_quotient(args) -> int:
     sys_ = _load(args.infile)
-    e = parse_partition(Path(args.partition).read_text())
+    e = parse_partition(_read(args.partition))
     q, _ = quotient(sys_, e)
-    Path(args.out).write_text(write_dts(q))
+    Path(args.out).write_text(write_dts(q), encoding="utf-8")
     print(f"wrote {q.n_states}-state quotient to {args.out}")
     return 0
 
@@ -151,7 +159,7 @@ def _cmd_learn(args) -> int:
     model, report = learn(env, x0, args.max_depth, min_depth=args.min_depth)
     print(report.summary())
     if model is not None and args.out:
-        Path(args.out).write_text(write_dts(model))
+        Path(args.out).write_text(write_dts(model), encoding="utf-8")
         print(f"wrote {model.n_states}-state model to {args.out}")
     return 0 if report.converged else 1
 
@@ -160,8 +168,8 @@ def _cmd_dot(args) -> int:
     sys_ = _load(args.infile)
     part = None
     if args.partition:
-        part = parse_partition(Path(args.partition).read_text())
-    Path(args.out).write_text(to_dot(sys_, part))
+        part = parse_partition(_read(args.partition))
+    Path(args.out).write_text(to_dot(sys_, part), encoding="utf-8")
     print(f"wrote DOT graph to {args.out}")
     return 0
 

@@ -196,7 +196,8 @@ class TransitionSystem:
     def _trusted(cls, action_names, delta, state_labels, initial) -> "TransitionSystem":
         """``from_tables``, unchecked: for distinct names and tuple rows of plain ints in range.
 
-        Only for ``make_random``'s draws and what ``canonical_form`` and ``quotient`` build.
+        Only for ``make_random``'s draws, what ``canonical_form`` and ``quotient`` build,
+        and what ``parse_dts`` has checked.
         """
         out = object.__new__(cls)
         labels, names = (None, None) if state_labels is None else intern_names(state_labels)

@@ -14,12 +14,20 @@ The system format is line oriented, diff-able and hand-writable::
 ``#`` starts a comment anywhere; blank lines are ignored. Writing is
 canonical (states ascending, actions in header order), so parse and write
 round-trip bit-exactly.
+
+Text is read a piece of about 64 KiB at a time, never split whole. In
+``parse_dts``, a piece after the header that holds plain ``trans S ACT T``
+lines only, as ``write_dts`` writes them, is read in bulk; any other piece
+(comments, blank lines, other spacing or line breaks, any error) is read
+line by line. Both paths raise the same first ``ParseError``.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain
+
+import numpy as np
 
 from .core import DtsError, InputError, TransitionSystem, _index
 from .partitions import Partition
@@ -36,15 +44,22 @@ class ParseError(DtsError):
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # str.splitlines' own
 
 
-def _numbered_lines(text: str):
-    """``enumerate(text.splitlines(), start=1)``, split about 64 KiB at a time, not all at once."""
+def _numbered_lines(text: str, read_piece=None):
+    """``enumerate(text.splitlines(), start=1)``, split about 64 KiB at a time, not all at once.
+
+    Each piece is first offered to ``read_piece``, if given: the lines of a piece that it
+    reads whole, returning their count, are not yielded.
+    """
     count = pos = 0
     while pos < len(text):
         brk = _LINE_BREAK.search(text, pos + (1 << 16))  # a piece ends where a line does
         end = brk.end() if brk else len(text)
-        lines = text[pos:end].splitlines()
-        yield from enumerate(lines, start=count + 1)
-        count, pos = count + len(lines), end
+        piece = text[pos:end]
+        if not (read_piece and (k := read_piece(piece))):
+            lines = piece.splitlines()
+            yield from enumerate(lines, start=count + 1)
+            k = len(lines)
+        count, pos = count + k, end
 
 
 def _content_lines(numbered):
@@ -80,9 +95,54 @@ def _transition(tokens: list[str], line_no: int, n_states: int, action_index: di
     return s, a, t
 
 
+# Plain transition lines, a piece of which is read in bulk. The action may be any token
+# here, checked through the action dict: an alternation of the m names costs O(m) a line.
+_PLAIN = re.compile(r"(?:trans [0-9]{1,9} \S+ [0-9]{1,9}\n)*")
+
+
+def _read_piece(piece: str, table, n_states: int, action_index: dict) -> int:
+    """Fill ``table`` from a piece of plain lines in bulk; its line count, or 0 if it is not one.
+
+    A piece that is not all plain 'trans S ACT T' lines of known actions, or that names
+    a state out of range or a cell already filled or named twice, writes nothing: its
+    lines are read one at a time, which finds the first error. Only numpy's parsing and
+    indexing routines run here, no ufunc: the first call of each numpy routine in a
+    process maps its code in, 64 KiB of resident memory or more.
+    """
+    if not _PLAIN.fullmatch(piece):
+        return 0
+    tokens = piece.split()
+    k = len(tokens) // 4
+    try:
+        a = np.fromiter(map(action_index.__getitem__, tokens[2::4]), np.int64, k)
+        s, t = (np.fromstring(" ".join(tokens[i::4]), np.int64, sep=" ") for i in (1, 3))
+        cells = np.ravel_multi_index((s, a), (n_states, len(action_index)))  # s*m + a
+    except (KeyError, ValueError):  # an unknown action, or a source state out of range
+        return 0
+    if (max(t.tolist()) >= n_states or len(set(cells.tolist())) < k  # a cell named twice
+            or max(table[cells].tolist()) != -1):  # or filled before
+        return 0
+    table[cells] = t
+    return k
+
+
 def parse_dts(text: str) -> TransitionSystem:
-    """Parse the line format above into a validated system."""
-    numbered = _numbered_lines(text)
+    """Parse the line format above into a validated system.
+
+    After the header, the text is read a piece of about 64 KiB at a time (see
+    ``_numbered_lines``). A piece of plain lines only, each ``trans S ACT T`` with
+    single spaces, one to nine digits for each state and a line feed at the end, is
+    checked by one pattern and read in bulk. Any other piece, the piece in which the
+    header ends, and a plain piece with an unknown action, a state out of range or a
+    transition given twice are read one line at a time: so both paths raise the same
+    first ``ParseError``, with the same line number.
+    """
+    table = None  # the cells, once the header is read: then a piece may be read in bulk
+
+    def read_piece(piece: str) -> int:
+        return 0 if table is None else _read_piece(piece, table, n_states, action_index)
+
+    numbered = _numbered_lines(text, read_piece)
     lines = _content_lines(numbered)
 
     def next_line(expect: str):
@@ -104,7 +164,7 @@ def parse_dts(text: str) -> TransitionSystem:
     line_no, tokens = next_line("'actions ...'")
     if len(tokens) < 2 or tokens[0] != "actions":
         raise ParseError(line_no, "expected 'actions' followed by action names")
-    action_names = tokens[1:]
+    action_names = tuple(tokens[1:])
     if len(set(action_names)) != len(action_names):
         raise ParseError(line_no, "action names must be distinct")
     if n_states * len(action_names) > text.count("\n") + text.count("\r") + 1:  # before allocating
@@ -128,29 +188,39 @@ def parse_dts(text: str) -> TransitionSystem:
 
     action_index = {name: a for a, name in enumerate(action_names)}
     n_actions = len(action_names)
-    table: list[int | None] = [None] * (n_states * n_actions)  # the cell of (s, a) is s*m + a
+    table = np.full(n_states * n_actions, -1, np.int32)  # the cell of (s, a) is s*m + a; -1: unset
+    cells = memoryview(table)  # reads and writes plain ints, near a list's speed
     # plain 'trans S ACT T' lines are checked inline; the rest go through _transition
     for line_no, raw in chain([(line_no, " ".join(tokens))], numbered):
+        tokens = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
         try:
-            word, s, name, t = raw.split()
+            word, s, name, t = tokens
             s, a, t = int(s), action_index[name], int(t)
         except (ValueError, KeyError):
             word = None
         if word != "trans" or not 0 <= s < n_states > t >= 0:
-            if not (tokens := raw.split("#", 1)[0].split()):
+            if not tokens:
                 continue
             s, a, t = _transition(tokens, line_no, n_states, action_index)
         cell = s * n_actions + a
-        if table[cell] is not None:
+        if cells[cell] != -1:
             raise ParseError(line_no, f"duplicate transition for state {s}, "
                                       f"action {action_names[a]!r}")
-        table[cell] = t
-        last = line_no
-    if None in table:
-        s, a = divmod(table.index(None), n_actions)
-        raise ParseError(last, f"missing transition for state {s}, action {action_names[a]!r}")
-    rows = tuple(zip(*[iter(table)] * n_actions))  # the cells, n_actions at a time
-    return TransitionSystem.from_tables(action_names, rows, state_labels, initial)
+        cells[cell] = t
+    rows = []
+    states = list(range(n_states))  # one int per state, shared by every cell naming it
+    step = n_actions << 12  # rows are cut from 4,096 rows' cells at a time, not from all cells
+    for i in range(0, len(table), step):
+        chunk = table[i:i + step].tolist()
+        if -1 in chunk:
+            s, a = divmod(i + chunk.index(-1), n_actions)
+            for last, _ in _content_lines(_numbered_lines(text)):  # the last transition's line
+                pass
+            raise ParseError(last, f"missing transition for state {s}, "
+                                   f"action {action_names[a]!r}")
+        rows += zip(*[map(states.__getitem__, chunk)] * n_actions)
+    # every check of from_tables is made above: names, label count, init and cells
+    return TransitionSystem._trusted(action_names, tuple(rows), state_labels, initial)
 
 
 def write_dts(sys: TransitionSystem) -> str:

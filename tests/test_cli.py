@@ -205,6 +205,30 @@ class TestEndToEnd:
         assert code == 2 and "bound" in err
 
 
+
+class TestUndecodableFiles:
+    """Each kind of file read: bytes that are not UTF-8 exit 2 with one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--in", "{bad}", "--prop", "chiral"],
+        ["iso", "--a", "{good}", "--b", "{bad}"],
+        ["msr", "--in", "{good}", "--partition", "{bad}", "--out", "{out}"],
+        ["quotient", "--in", "{good}", "--partition", "{bad}", "--out", "{out}"],
+        ["dot", "--in", "{good}", "--partition", "{bad}", "--out", "{out}"],
+        ["gen", "--env", "arm", "--obstacles", "{bad}", "--out", "{out}"],
+    ], ids=["system", "second system", "msr partition", "quotient partition",
+            "dot partition", "obstacles"])
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv):
+        good, bad, out = tmp_path / "good.dts", tmp_path / "bad", tmp_path / "out"
+        good.write_text(write_dts(make_line(4)))
+        bad.write_bytes(b"dts\n\xff\n")
+        paths = {"good": good, "bad": bad, "out": out}
+        code, stdout, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert code == 2 and stdout == ""
+        assert err == f"error: {bad}: byte 4 is not UTF-8 text\n"
+        assert not out.exists()
+
+
 class TestVerifyDeterminism:
     def test_fast_checks_repeat_identically(self, capsys):
         from dtslearn.acceptance import run_check

@@ -23,7 +23,7 @@ from dtslearn import (
     write_partition,
 )
 from dtslearn.envs import ArmSpec, SplitMix64
-from dtslearn.fileio import _numbered_lines
+from dtslearn.fileio import _content_lines, _numbered_lines, _parse_count, _transition
 
 LINE4_TEXT = """\
 dts
@@ -228,6 +228,212 @@ class TestLazyLines:
             tracemalloc.stop()
         assert parsed == arm and arm.n_states == 26_970
         assert peak <= 11, peak
+
+    def test_peak_memory_of_a_large_line_by_line_parse(self):
+        # a comment on every line keeps each piece off the bulk path. Built from one
+        # list of every cell, with an int object per cell, the result peaked at about
+        # 10 MiB; cut 4,096 rows at a time, with one int per state, about 7 MiB
+        arm = _large_arm()
+        text = write_dts(arm).replace("\n", " # c\n")
+        tracemalloc.start()
+        try:
+            parsed = parse_dts(text)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert parsed == arm
+        assert peak <= 8, peak
+
+
+def _large_arm():
+    """``TestLazyLines``' 26,970-state arm."""
+    rng = SplitMix64(5)
+    obstacles = set()
+    while len(obstacles) < 30:
+        cell = tuple(rng.below(30) for _ in range(3))
+        if cell != (0, 0, 0):
+            obstacles.add(cell)
+    return make_arm(ArmSpec(3, 30, frozenset(obstacles), (0, 0, 0)))
+
+
+def reference_parse_dts(text: str) -> TransitionSystem:
+    """The line-by-line parse, kept as the oracle for the bulk path: one line at a time
+    from ``splitlines``, into a list, then the checked build of ``from_tables``."""
+    lines = _content_lines(enumerate(text.splitlines(), start=1))
+
+    def next_line(expect: str):
+        for line_no, tokens in lines:
+            return line_no, tokens
+        raise ParseError(0, f"unexpected end of input, expected {expect}")
+
+    line_no, tokens = next_line("'dts' header")
+    if tokens != ["dts"]:
+        raise ParseError(line_no, f"expected 'dts' header, got {' '.join(tokens)!r}")
+    states_line, tokens = next_line("'states N'")
+    if len(tokens) != 2 or tokens[0] != "states":
+        raise ParseError(states_line, "expected 'states N'")
+    n_states = _parse_count(tokens[1], states_line, "state count")
+    if n_states < 1:
+        raise ParseError(states_line, "need at least one state")
+    line_no, tokens = next_line("'actions ...'")
+    if len(tokens) < 2 or tokens[0] != "actions":
+        raise ParseError(line_no, "expected 'actions' followed by action names")
+    action_names = tokens[1:]
+    if len(set(action_names)) != len(action_names):
+        raise ParseError(line_no, "action names must be distinct")
+    if n_states * len(action_names) > text.count("\n") + text.count("\r") + 1:
+        raise ParseError(states_line, "more transitions are needed than the input has lines")
+    line_no, tokens = next_line("'labels', 'init' or 'trans'")
+    state_labels = None
+    if tokens[0] == "labels":
+        if len(tokens) != n_states + 1:
+            raise ParseError(line_no, f"expected one label per state ({n_states})")
+        state_labels = tokens[1:]
+        line_no, tokens = next_line("'init' or 'trans'")
+    initial = None
+    if tokens[0] == "init":
+        if len(tokens) != 2:
+            raise ParseError(line_no, "expected 'init K'")
+        initial = _parse_count(tokens[1], line_no, "initial state")
+        if initial >= n_states:
+            raise ParseError(line_no, f"initial state {initial} is out of range")
+        line_no, tokens = next_line("'trans'")
+    action_index = {name: a for a, name in enumerate(action_names)}
+    n_actions = len(action_names)
+    table = [None] * (n_states * n_actions)
+    for line_no, tokens in [(line_no, tokens), *lines]:
+        s, a, t = _transition(tokens, line_no, n_states, action_index)
+        if table[s * n_actions + a] is not None:
+            raise ParseError(line_no, f"duplicate transition for state {s}, "
+                                      f"action {action_names[a]!r}")
+        table[s * n_actions + a] = t
+        last = line_no
+    if None in table:
+        s, a = divmod(table.index(None), n_actions)
+        raise ParseError(last, f"missing transition for state {s}, action {action_names[a]!r}")
+    rows = [table[s * n_actions:(s + 1) * n_actions] for s in range(n_states)]
+    return TransitionSystem.from_tables(action_names, rows, state_labels, initial)
+
+
+def _outcome(parse, text):
+    """The parsed system, or the first error's text and line number."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+def _named(n: int, names) -> TransitionSystem:
+    """An unlabeled ``n``-state system over ``names``: action ``a`` maps ``s`` to ``(s*(a+2) + 1) % n``."""
+    return TransitionSystem.from_tables(
+        names, [[(s * (a + 2) + 1) % n for a in range(len(names))] for s in range(n)])
+
+
+# systems whose text is three or more pieces of about 64 KiB: the first holds the header
+# and is read line by line, the rest go through the bulk path unless an edit stops them
+_MULTI_PIECE = {
+    "line5000": lambda: make_line(5000),
+    "arm1720": lambda: make_arm(ArmSpec(3, 12, frozenset({(1, 2, 3), (4, 5, 6)}), (0, 0, 0))),
+    "metacharacters": lambda: _named(4000, ("a+", "(", ".")),
+    "prefixes": lambda: _named(5000, ("L", "LL")),
+}
+
+
+def _edit_line(edit: str, line: str, n: int, first: str) -> list[str]:
+    """The lines that take the place of transition line ``line`` under ``edit``."""
+    _, s, name, t = line.split()
+    return {
+        "duplicate of an earlier piece": [line, first],
+        "duplicate in the piece, other target": [line, f"trans {s} {name} {(int(t) + 1) % n}\n"],
+        "duplicate in the piece, same target": [line, line],
+        "source out of range": [f"trans {n} {name} {t}\n"],
+        "target out of range": [f"trans {s} {name} {n}\n"],
+        "plus signs": [f"trans +{s} {name} +{t}\n"],
+        "leading zeros": [f"trans 0{s} {name} 000{t}\n"],
+        "ten digits": [f"trans {int(s):010d} {name} {t}\n"],
+        "unknown action": [f"trans {s} {name}~ {t}\n"],
+        "comment line": ["# a comment\n", line],
+        "trailing comment": [line[:-1] + "  # again\n"],
+        "blank lines": ["\n", "   \n", line],
+        "tabs": [line.replace(" ", "\t")],
+        "crlf": [line[:-1] + "\r\n"],
+        "x1c break": [line[:-1] + "\x1c"],
+    }[edit]
+
+
+_LINE_EDITS = ["duplicate of an earlier piece", "duplicate in the piece, other target",
+               "duplicate in the piece, same target", "source out of range",
+               "target out of range", "plus signs", "leading zeros", "ten digits",
+               "unknown action", "comment line", "trailing comment", "blank lines", "tabs",
+               "crlf", "x1c break"]
+
+
+class TestBulkAgainstReference:
+    """Multi-piece texts with one edit in the second piece or a later one: the bulk parse
+    gives the reference's system, or its first error's text and line number."""
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        return {name: (build(), write_dts(build())) for name, build in _MULTI_PIECE.items()}
+
+    def test_texts_have_three_or_more_pieces(self, texts):
+        for sys_, text in texts.values():
+            pieces = []
+            assert list(_numbered_lines(text, pieces.append)) == list(
+                enumerate(text.splitlines(), start=1))
+            assert len(pieces) >= 3
+            assert parse_dts(text) == sys_ == reference_parse_dts(text)
+
+    @pytest.mark.parametrize("at", [0.45, 0.9])
+    @pytest.mark.parametrize("edit", _LINE_EDITS)
+    @pytest.mark.parametrize("name", list(_MULTI_PIECE))
+    def test_one_line_edit(self, texts, name, edit, at):
+        sys_, text = texts[name]
+        lines = text.splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("trans "))
+        i = first + int((len(lines) - first) * at)
+        lines[i:i + 1] = _edit_line(edit, lines[i], sys_.n_states, lines[first])
+        edited = "".join(lines)
+        expected = _outcome(reference_parse_dts, edited)
+        assert _outcome(parse_dts, edited) == expected
+        if edit in ("plus signs", "leading zeros", "comment line", "trailing comment",
+                    "blank lines", "tabs", "crlf", "x1c break"):
+            assert expected == sys_
+
+    @pytest.mark.parametrize("edit", ["crlf everywhere", "x1c everywhere",
+                                      "no final newline", "last transition missing"])
+    @pytest.mark.parametrize("name", list(_MULTI_PIECE))
+    def test_whole_text_edit(self, texts, name, edit):
+        sys_, text = texts[name]
+        edited = {"crlf everywhere": lambda: text.replace("\n", "\r\n"),
+                  "x1c everywhere": lambda: text.replace("\n", "\x1c"),
+                  "no final newline": lambda: text[:-1],
+                  "last transition missing": lambda: text[:text.rindex("trans ")]}[edit]()
+        expected = _outcome(reference_parse_dts, edited)
+        assert _outcome(parse_dts, edited) == expected
+        if edit != "x1c everywhere":  # refused before allocating: that guard counts \n and \r
+            assert (expected == sys_) == (edit != "last transition missing")
+
+    _NOISE = ["", "  ", "# c", "trans 0 L 0", "trans 0 L 0 # c", "trans 1 R 0", "trans 00 L 1",
+              "trans +1 R 2", "trans 9999 L 0", "trans 0 L 9999", "trans 0 X 1", "trans 0 L",
+              "loop 0", "trans 0 L 0\r", "\x1c", "trans 1 L 1\x1ctrans 2 L 2"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2000, 6000), st.integers(1, 3), st.integers(0, 2 ** 32),
+           st.lists(st.tuples(st.floats(0, 1), st.sampled_from(_NOISE)), max_size=4))
+    def test_noise_lines_in_random_systems(self, n, m, seed, noise):
+        rng = SplitMix64(seed)
+        names = ("L", "R", "LL")[:m]
+        sys_ = TransitionSystem.from_tables(
+            names, [[rng.below(n) for _ in names] for _ in range(n)],
+            [f"c{rng.below(3)}" for _ in range(n)], rng.below(n))
+        lines = write_dts(sys_).splitlines(keepends=True)
+        for at, line in noise:
+            i = 5 + int((len(lines) - 5) * at)
+            lines.insert(i, line + "\n")
+        text = "".join(lines)
+        expected = _outcome(reference_parse_dts, text)
+        assert _outcome(parse_dts, text) == expected
 
 
 class TestPartitionFormat:
