@@ -157,7 +157,7 @@ def _union_blocks(env: TransitionSystem, internal: TransitionSystem) -> list[int
     rows = chain(env.delta, (map(shift.__add__, row) for row in internal.delta))
     names = [env.label_names[l] for l in env.labels]
     names += [internal.label_names[l] for l in internal.labels]
-    return _refine(shift + internal.n_states, env.n_actions, rows, intern_names(names)[0])
+    return _refine(shift + internal.n_states, env.n_actions, rows, intern_names(names)[0])[0]
 
 
 def greatest_bisimulation(
@@ -183,7 +183,7 @@ def greatest_bisimulation(
 def greatest_bisimulation_pairwise(
     env: TransitionSystem, internal: TransitionSystem
 ) -> frozenset[tuple[int, int]]:
-    """Reference oracle for ``greatest_bisimulation``; O(n²) memory.
+    """Reference oracle for ``greatest_bisimulation``; O(n²) memory, so limited to 2^16 pairs.
 
     Starts from all label-agreeing pairs (labels compared by name) and
     repeatedly deletes pairs with some action leading outside the relation,
@@ -191,6 +191,8 @@ def greatest_bisimulation_pairwise(
     acceptance suite, on no library path.
     """
     _check_bisimulation_inputs(env, internal)
+    if env.n_states * internal.n_states > 1 << 16:
+        raise InputError("the pairwise fixpoint is limited to 2^16 state pairs")
     alive = [
         [env.label_names[env.labels[x]] == internal.label_names[internal.labels[i]]
          for i in range(internal.n_states)]

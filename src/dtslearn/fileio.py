@@ -167,7 +167,8 @@ def parse_dts(text: str) -> TransitionSystem:
     action_names = tuple(tokens[1:])
     if len(set(action_names)) != len(action_names):
         raise ParseError(line_no, "action names must be distinct")
-    if n_states * len(action_names) > text.count("\n") + text.count("\r") + 1:  # before allocating
+    need = n_states * len(action_names)  # lines, before allocating: the cheap count, then every break
+    if need > text.count("\n") + text.count("\r") + 1 and need > len(_LINE_BREAK.findall(text)) + 1:
         raise ParseError(states_line, "more transitions are needed than the input has lines")
 
     line_no, tokens = next_line("'labels', 'init' or 'trans'")

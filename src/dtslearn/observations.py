@@ -26,9 +26,9 @@ from itertools import accumulate, filterfalse, product
 
 import numpy as np
 
-from .core import InputError, TransitionSystem, _index, canonical_form, intern_names, require
+from .core import InputError, TransitionSystem, _index, canonical_form
 from .envs import SplitMix64
-from .partitions import msr, partition_from_labels, quotient
+from .partitions import _separating_words, msr, partition_from_labels, quotient
 
 TABLE_SUITE_SIZE = 32  # test suffixes per depth once there are more words of horizon length
 SUITE_WORDS = 1 << 16  # most words one certificate suite may ask for
@@ -514,8 +514,8 @@ class _ObservationTable:
 
         The suite is cover × Σ^{≤k} × W for the model's n states and k = bound - n.
         The cover holds each state's breadth-first access word and its one-step
-        extensions; W is ``suffixes`` plus a shortest separating word for each
-        pair of states they leave together, so it characterizes the model. The
+        extensions; W is ``suffixes`` plus separating words read off the record of
+        splits that refines the model's labels, so it characterizes the model. The
         suite runs one Σ layer at a time and stops at the first word the model
         labels wrong. Passing it proves, by Chow's theorem, that an environment of
         at most ``bound`` states has the model as its minimal quotient. Returns
@@ -533,7 +533,7 @@ class _ObservationTable:
             ext[s] = self._child(np.full(m, ext.flat[flat.index(s)] if s else 1), np.arange(m))
         cover = np.concatenate([[1], ext.ravel()])
         states = np.concatenate([[0], delta.ravel()])
-        words, wlen = _padded(_characterizing(model, suffixes))
+        words, wlen = _padded(_separating_words(model, suffixes))
         asked = 0
         for j in range(bound - n + 1):
             count = len(cover) * m ** j * len(words)
@@ -548,42 +548,3 @@ class _ObservationTable:
                 spelled = " ".join(self.oracle.action_names[a] for a in word)
                 return False, word, f"refuted by suite word [{spelled}]"
         return True, None, f"certified by {asked} suite words"
-
-
-def _characterizing(model: TransitionSystem, suffixes) -> list[tuple[int, ...]]:
-    """``suffixes``, then a shortest separating word for each pair of states they leave together.
-
-    Two states are left together when every suffix shows the same labels from
-    both, step by step. A pair first told apart by Moore's ``j``-step
-    equivalence is separated by a word of length ``j``, found by following an
-    action whose successors were already apart at ``j - 1``. The model must be
-    minimal, so that every pair is told apart at some ``j``.
-    """
-    n, m, delta, labels = model.n_states, model.n_actions, model.delta, model.labels
-    levels = [labels]  # levels[j][s]: the class of s under j-step equivalence
-    while len(set(levels[-1])) < n:
-        prev = levels[-1]
-        levels.append(intern_names(tuple([prev[s]] + [prev[t] for t in delta[s]])
-                                   for s in range(n))[0])
-        require(len(set(levels[-1])) > len(set(prev)), "the model to certify is not minimal")
-
-    def trace(s, w):
-        out = [labels[s]]
-        for a in w:
-            s = delta[s][a]
-            out.append(labels[s])
-        return tuple(out)
-
-    words = list(suffixes)
-    keys = [tuple(trace(s, w) for w in words) for s in range(n)]
-    for p in range(n):
-        for q in range(p + 1, n):
-            if keys[p] != keys[q]:
-                continue
-            w, s, t = (), p, q
-            for j in range(next(j for j, cls in enumerate(levels) if cls[p] != cls[q]) - 1, -1, -1):
-                a = next(a for a in range(m) if levels[j][delta[s][a]] != levels[j][delta[t][a]])
-                w, s, t = w + (a,), delta[s][a], delta[t][a]
-            words.append(w)
-            keys = [key + (trace(s, w),) for s, key in enumerate(keys)]
-    return words

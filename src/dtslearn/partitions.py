@@ -7,7 +7,8 @@ that is stable under every action (a congruence). One engine, ``_refine``,
 computes it by Hopcroft splitting in O(m·n·log n) for n states and m
 actions: each splitter is processed once over every action, and every
 piece of a split block but the largest is queued. Bisimulation and
-symmetry detection in ``coupling`` run on the same engine.
+symmetry detection in ``coupling`` run on the same engine, and the learner's
+characterizing sets W are read off its record of splits (``_separating_words``).
 ``msr_bruteforce`` is an enumeration oracle for it on small state sets.
 """
 
@@ -261,12 +262,13 @@ def is_sufficient(
     return (False, (s, split, a))
 
 
-def _refine(n: int, n_actions: int, delta, block_of) -> list[int]:
+def _refine(n: int, n_actions: int, delta, block_of) -> tuple[list[int], list[int]]:
     """Coarsest refinement of ``block_of`` stable under every action.
 
     ``delta`` yields each state's row of successors, states in order, and is
     read once, in the bucket sort. ``block_of`` holds dense block ids
-    ``0..k-1``. Returns one block id per state, not canonically numbered.
+    ``0..k-1``. Returns one block id per state, not canonically numbered, and
+    the record of splits: the block each block split from, -1 for a starting one.
 
     Hopcroft's algorithm, one pass per splitter over every action. The
     cells ``s·m + a`` with ``delta[s][a] == t`` are ``pred[off[t]:off[t + 1]]``,
@@ -293,6 +295,7 @@ def _refine(n: int, n_actions: int, delta, block_of) -> list[int]:
     del buckets
 
     members: list = [[] for _ in range(max(block_of) + 1)]
+    parent = [-1] * len(members)
     for s, b in enumerate(block_of):
         members[b].append(s)
     sidx = list(block_of)
@@ -352,9 +355,10 @@ def _refine(n: int, n_actions: int, delta, block_of) -> list[int]:
                 for s in piece:
                     sidx[s] = new
                 members.append(piece)
+                parent.append(b)
                 work.append(new)
         touched.clear()
-    return sidx
+    return sidx, parent
 
 
 def msr(sys: TransitionSystem, e: Partition) -> Partition:
@@ -370,7 +374,47 @@ def msr(sys: TransitionSystem, e: Partition) -> Partition:
     if e.n_states != sys.n_states:
         raise InputError("partition is not over the system's states")
     return Partition.from_block_of(
-        _refine(sys.n_states, sys.n_actions, sys.delta, e.block_of))
+        _refine(sys.n_states, sys.n_actions, sys.delta, e.block_of)[0])
+
+
+def _separating_words(sys: TransitionSystem, suffixes) -> list[tuple[int, ...]]:
+    """``suffixes``, then separating words until every two states of a minimal ``sys`` differ.
+
+    W is read off ``_refine``'s record from the labels, block ids dating splits: two
+    states were put apart where their blocks' parent chains join, and an action then
+    leads them to blocks apart earlier. The word is the action for the earliest such
+    blocks, then the successors' word. Traces are whole label sequences; each new
+    word is for the two states of a group whose blocks were made last.
+    """
+    n, delta, labels = sys.n_states, sys.delta, sys.labels
+    block_of, parent = _refine(n, sys.n_actions, delta, labels)
+    require(len(parent) == n, "the model to certify is not minimal")
+
+    def split(x: int, y: int) -> int:  # the later block the split of x and y made; n if none
+        k = n
+        while x != y:  # climb the later block, up to -1 above the starting ones
+            x, y, k = (parent[x], y, x) if x > y else (x, parent[y], y)
+        return k
+
+    words, groups, step = list(suffixes), [range(n)], lambda s, a: delta[s][a]
+    for i, w in enumerate(words):
+        parts: dict = {}
+        for g, group in enumerate(groups):
+            for s in group:
+                trace = map(labels.__getitem__, accumulate(w, step, initial=s))
+                parts.setdefault((g, *trace), []).append(s)
+        groups = [group for group in parts.values() if len(group) > 1]
+        if groups and i == len(words) - 1:
+            require(len(words) < len(suffixes) + n - 1, "the split record does not separate states")
+            s, t = sorted(groups[0], key=block_of.__getitem__)[-2:]
+            word, k = [], split(block_of[s], block_of[t])
+            while parent[k] >= 0:  # else k is a starting block: the labels differ
+                k, a = min((split(block_of[u], block_of[v]), a)
+                           for a, (u, v) in enumerate(zip(delta[s], delta[t])))
+                word.append(a)
+                s, t = delta[s][a], delta[t][a]
+            words.append(tuple(word))
+    return words
 
 
 def _restricted_growth_strings(n: int):

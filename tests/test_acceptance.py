@@ -47,7 +47,7 @@ for index in (4, 8):
     print(index, acceptance.run_check(index, 42).ok)
 
 def unrefined(n, n_actions, delta, block_of):
-    return list(block_of)
+    return list(block_of), []
 
 partitions._refine = coupling._refine = unrefined
 for index in (4, 8):

@@ -23,7 +23,7 @@ from dtslearn import (
     write_partition,
 )
 from dtslearn.envs import ArmSpec, SplitMix64
-from dtslearn.fileio import _content_lines, _numbered_lines, _parse_count, _transition
+from dtslearn.fileio import _LINE_BREAK, _content_lines, _numbered_lines, _parse_count, _transition
 
 LINE4_TEXT = """\
 dts
@@ -281,7 +281,8 @@ def reference_parse_dts(text: str) -> TransitionSystem:
     action_names = tokens[1:]
     if len(set(action_names)) != len(action_names):
         raise ParseError(line_no, "action names must be distinct")
-    if n_states * len(action_names) > text.count("\n") + text.count("\r") + 1:
+    need = n_states * len(action_names)
+    if need > text.count("\n") + text.count("\r") + 1 and need > len(_LINE_BREAK.findall(text)) + 1:
         raise ParseError(states_line, "more transitions are needed than the input has lines")
     line_no, tokens = next_line("'labels', 'init' or 'trans'")
     state_labels = None
@@ -400,19 +401,23 @@ class TestBulkAgainstReference:
                     "blank lines", "tabs", "crlf", "x1c break"):
             assert expected == sys_
 
-    @pytest.mark.parametrize("edit", ["crlf everywhere", "x1c everywhere",
+    # str.splitlines breaks other than \n and \r, which the guard before allocating
+    # counts cheaply: it must count these too, and not refuse the text
+    _BREAKS = {"x1c": "\x1c", "vt": "\v", "ff": "\f", "x85": "\x85", "u2028": "\u2028"}
+
+    @pytest.mark.parametrize("edit", ["crlf everywhere", *(f"{b} everywhere" for b in _BREAKS),
                                       "no final newline", "last transition missing"])
     @pytest.mark.parametrize("name", list(_MULTI_PIECE))
     def test_whole_text_edit(self, texts, name, edit):
         sys_, text = texts[name]
         edited = {"crlf everywhere": lambda: text.replace("\n", "\r\n"),
-                  "x1c everywhere": lambda: text.replace("\n", "\x1c"),
                   "no final newline": lambda: text[:-1],
-                  "last transition missing": lambda: text[:text.rindex("trans ")]}[edit]()
+                  "last transition missing": lambda: text[:text.rindex("trans ")],
+                  **{f"{b} everywhere": lambda b=b: text.replace("\n", self._BREAKS[b])
+                     for b in self._BREAKS}}[edit]()
         expected = _outcome(reference_parse_dts, edited)
         assert _outcome(parse_dts, edited) == expected
-        if edit != "x1c everywhere":  # refused before allocating: that guard counts \n and \r
-            assert (expected == sys_) == (edit != "last transition missing")
+        assert (expected == sys_) == (edit != "last transition missing")
 
     _NOISE = ["", "  ", "# c", "trans 0 L 0", "trans 0 L 0 # c", "trans 1 R 0", "trans 00 L 1",
               "trans +1 R 2", "trans 9999 L 0", "trans 0 L 9999", "trans 0 X 1", "trans 0 L",

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import signal
 import tracemalloc
 from itertools import product
 from time import perf_counter
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtslearn import (
+    CheckError,
     EnvOracle,
     InputError,
     Partition,
@@ -32,7 +34,7 @@ from dtslearn import (
     star,
     verify_learned,
 )
-from dtslearn import learner, observations
+from dtslearn import learner, observations, partitions
 from dtslearn.envs import ArmSpec, SplitMix64
 from dtslearn.observations import HistoryTrie, count_nodes
 
@@ -738,7 +740,7 @@ class TestLearn:
 
 
 # sha256 of test_golden_digest's records
-GOLDEN_LEARN_DIGEST = "7a565e730887e7cf4d67f67b40c421113b5619198fb154a4496cd5a61034e762"
+GOLDEN_LEARN_DIGEST = "3cfb52a451b1cdfd417a1d8fca176d7068cf77e166ae1e221db9c850872e5976"
 # sha256 of test_golden_oracle_counts's records: 465,577 resets and 4,257,030 steps in all
 GOLDEN_COUNT_DIGEST = "0e3562417d6b83e326c6bfd96d1bf5b17f8365c9e690e3b2cf62b5bd6c6cdbd3"
 # (resets, steps) of each golden learn while the trie depths explored a trie of their
@@ -910,6 +912,18 @@ class TestCertificate:
         table = observations._ObservationTable(EnvOracle(env, 0))
         return table.certify(model, bound, [()])
 
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """Each test ends within 60 s, so a broken split record that loops fails here."""
+        def expire(signum, frame):
+            raise TimeoutError("the test ran for more than 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     def test_the_last_sigma_layer_is_needed(self):
         # the environment has one more state than the model, hidden behind
         # the cover word "y y": only one more step after it tells them apart
@@ -925,20 +939,50 @@ class TestCertificate:
             ("x", "y"), [[0, 3], [1, 2], [0, 2], [2, 1]], ["o", "i", "o", "o"], 0)
         model = TransitionSystem.from_tables(
             ("x", "y"), [[0, 1], [0, 2], [2, 0]], ["o", "o", "i"], 0)
-        assert observations._characterizing(model, [()]) == [(), (1,)]
+        assert partitions._separating_words(model, [()]) == [(), (1,)]
         assert self.certify(env, model, 4)[:2] == (False, (1, 0, 1, 1))
 
     def test_separating_words_characterize_minimal_models(self):
         rng = SplitMix64(39)
-        for _ in range(40):
-            m = 2 + rng.below(3)
-            env = make_random(2 + rng.below(7), m, rng.next_u64(), pointed=bool(rng.below(2)))
+        for _ in range(300):
+            m = 1 + rng.below(3)
+            env = make_random(1 + rng.below(9), m, rng.next_u64(), pointed=bool(rng.below(2)))
             model, _ = quotient(env, msr(env, partition_from_labels(env)))
-            words = observations._characterizing(model, [()])
-            traces = {tuple(tuple(model.labels[star(model, s, w[:i])] for i in range(len(w) + 1))
-                            for w in words) for s in range(model.n_states)}
-            assert len(traces) == model.n_states
-            assert len(words) <= model.n_states
+            n = model.n_states
+
+            def traces(words):
+                return [tuple(tuple(model.labels[star(model, s, w[:i])] for i in range(len(w) + 1))
+                              for w in words) for s in range(n)]
+
+            drawn = [tuple(rng.below(m) for _ in range(rng.below(5)))
+                     for _ in range(1 + rng.below(3))]
+            for suffixes in ([()], drawn):
+                words = partitions._separating_words(model, suffixes)
+                assert words[:len(suffixes)] == suffixes and len(words) <= len(suffixes) + n - 1
+                assert len(set(traces(words))) == n  # W characterizes the model
+                for j in range(len(suffixes), len(words)):  # each added word splits a pair
+                    before, after = traces(words[:j]), traces(words[:j + 1])
+                    assert any(before[s] == before[t] and after[s] != after[t]
+                               for s in range(n) for t in range(s))
+            twin = TransitionSystem.from_tables(  # state n repeats state 0
+                model.action_names, [*model.delta, model.delta[0]],
+                [model.label_names[label] for label in (*model.labels, model.labels[0])], 0)
+            with pytest.raises(CheckError, match="not minimal"):
+                partitions._separating_words(twin, [()])
+
+    def test_separating_words_of_the_254_state_arm_are_fast(self):
+        # W of the arm as certify sees it, minimized and canonical: about 20 ms on a
+        # 2-vCPU Xeon, where Moore rounds and a scan of all pairs took 0.3-0.5 s
+        arm = make_arm(ArmSpec(2, 16, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        small, _ = quotient(arm, msr(arm, partition_from_labels(arm)))
+        model = canonical_form(small, small.initial)[0]
+        assert model.n_states == 254
+        times = []
+        for _ in range(3):
+            start = perf_counter()
+            partitions._separating_words(model, [()])
+            times.append(perf_counter() - start)
+        assert min(times) <= 0.1
 
     def test_a_bound_below_the_model_size_is_not_certified(self):
         env = make_line(4)

@@ -17,6 +17,7 @@ from dtslearn import (
     are_isomorphic,
     couple,
     greatest_bisimulation,
+    greatest_bisimulation_pairwise,
     is_refinement,
     is_sufficient,
     join_partitions,
@@ -118,6 +119,10 @@ REFUSALS = {
                              "internal states [1] are unreachable in the coupling"),
     "bisimulation alphabets": (lambda: greatest_bisimulation(LINE, make_cycle(4)), InputError,
                                "action alphabets differ"),
+    # 257 · 256 = 65,792 pairs, over the cap of 65,536: refused before any flag is allocated
+    "pairwise bisimulation size": (
+        lambda: greatest_bisimulation_pairwise(make_line(257), make_line(256)), InputError,
+        "the pairwise fixpoint is limited to 2^16 state pairs"),
     # fileio
     "to_dot partition": (lambda: to_dot(LINE, ID3), InputError,
                          "partition is not over the system's states"),
