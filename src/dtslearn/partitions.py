@@ -15,7 +15,9 @@ characterizing sets W are read off its record of splits (``_separating_words``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, product
+from operator import itemgetter
 
 from .core import (
     InputError,
@@ -40,7 +42,7 @@ class Partition:
     block_of: tuple[int, ...]
 
     def __post_init__(self):
-        # the checked path, for partitions given from outside: the about 90,000
+        # the checked path, for partitions given from outside: the about 61,000
         # that one acceptance bench pass builds are canonical by construction
         # and take _trusted. Plain ints, which _index would return unchanged,
         # skip the call.
@@ -178,13 +180,18 @@ def generated_closure(n: int, pairs) -> Partition:
 
 def join_partitions(n: int, parts) -> Partition:
     """Smallest equivalence relation containing every given partition."""
-    pairs = []
+    n = _index(n, "n")
+    uf = _UnionFind(n)
     for p in parts:
         if p.n_states != n:
             raise InputError("partitions are over different state sets")
-        for block in p.blocks():
-            pairs.extend(zip(block, block[1:]))
-    return generated_closure(n, pairs)
+        first: list[int] = []  # per block, its first state: blocks are numbered in that order
+        for s, b in enumerate(p.block_of):
+            if b < len(first):
+                uf.union(first[b], s)
+            else:
+                first.append(s)
+    return Partition.from_block_of([uf.find(s) for s in range(n)])
 
 
 def pullback(m: StateMap, e1: Partition) -> Partition:
@@ -417,19 +424,27 @@ def _separating_words(sys: TransitionSystem, suffixes) -> list[tuple[int, ...]]:
     return words
 
 
-def _restricted_growth_strings(n: int):
-    """All partitions of ``0..n-1`` as canonical block_of tuples."""
-    assign = [0] * n
+@cache  # n + start is at most 8: msr_bruteforce refuses larger systems
+def _restricted_growth_strings(n: int, start: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of ``n`` items as block id tuples, ids from ``start`` in first-occurrence order."""
+    strings = [()]
+    for _ in range(n):
+        strings = [g + (b,) for g in strings for b in range(start, max(g, default=start - 1) + 2)]
+    return tuple(strings)
 
-    def rec(i: int, top: int):
-        if i == n:
-            yield tuple(assign)
-            return
-        for b in range(top + 2):
-            assign[i] = b
-            yield from rec(i + 1, max(top, b))
 
-    yield from rec(1, 0)
+def _sufficient_ids(delta, ids) -> bool:
+    """Whether states with equal ``ids`` have equal successor ids under every action.
+
+    ``delta`` is a system's table of successor rows; the ids need not be canonical.
+    """
+    first: dict = {}  # per id, the successor ids of its first state
+    get = ids.__getitem__
+    for i, row in zip(ids, delta):
+        succ = tuple(map(get, row))
+        if first.setdefault(i, succ) != succ:
+            return False
+    return True
 
 
 def msr_bruteforce(sys: TransitionSystem, e: Partition) -> Partition:
@@ -437,26 +452,31 @@ def msr_bruteforce(sys: TransitionSystem, e: Partition) -> Partition:
 
     Enumerates every refinement of ``e`` (one set partition of each block,
     in all combinations: the product of the blocks' Bell numbers, not the
-    Bell number of the whole state set), keeps the sufficient ones, returns
-    the one with fewest blocks and checks that every other kept partition
-    refines it (uniqueness).
+    Bell number of the whole state set) as raw ids, and tests each for
+    sufficiency on those ids (``_sufficient_ids``); only the sufficient ones
+    become ``Partition`` objects. Returns the one with fewest blocks and
+    checks that every other kept partition refines it (uniqueness).
     """
-    if sys.n_states > 8:
-        raise InputError("brute-force enumeration is limited to 8 states")
-    if e.n_states != sys.n_states:
-        raise InputError("partition is not over the system's states")
     n = sys.n_states
-    blocks = e.blocks()
+    if n > 8:
+        raise InputError("brute-force enumeration is limited to 8 states")
+    if e.n_states != n:
+        raise InputError("partition is not over the system's states")
+    # the blocks' growth strings laid end to end, each block's ids from its start
+    # there, so no two blocks share an id; pos[s] is state s's place in that layout
+    pos = [0] * n
+    splits, start = [], 0
+    for block in e.blocks():
+        for i, s in enumerate(block, start):
+            pos[s] = i
+        splits.append(_restricted_growth_strings(len(block), start))
+        start += len(block)
+    scatter = itemgetter(*pos) if n > 1 else tuple  # itemgetter(0) would return the id, not a 1-tuple
     kept: list[Partition] = []
-    for splits in product(*(_restricted_growth_strings(len(block)) for block in blocks)):
-        # sub-block j of e's block b gets key b·n + j; from_block_of renumbers canonically
-        raw = [0] * n
-        for b, (block, split) in enumerate(zip(blocks, splits)):
-            for s, j in zip(block, split):
-                raw[s] = b * n + j
-        cand = Partition.from_block_of(raw)
-        if is_sufficient(sys, cand)[0]:
-            kept.append(cand)
+    for split in product(*splits):
+        ids = scatter(sum(split, ()))
+        if _sufficient_ids(sys.delta, ids):
+            kept.append(Partition.from_block_of(ids))
     best = min(kept, key=lambda p: p.n_blocks)
     for other in kept:
         require(is_refinement(other, best),

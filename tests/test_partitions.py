@@ -5,6 +5,7 @@ import pytest
 
 import dtslearn.partitions as partitions
 from dtslearn import (
+    CheckError,
     InputError,
     Partition,
     PreconditionError,
@@ -29,7 +30,7 @@ from dtslearn import (
     quotient,
     star,
 )
-from dtslearn.acceptance import _random_cover
+from dtslearn.acceptance import _random_cover, run_check
 from dtslearn.envs import SplitMix64
 
 
@@ -266,12 +267,13 @@ class TestMsr:
 
         bell = (1, 1, 2, 5, 15, 52)
         examined = []
+        sufficient_ids = partitions._sufficient_ids
 
-        def counting(sys, part):
-            examined.append(part)
-            return is_sufficient(sys, part)
+        def counting(delta, ids):
+            examined.append(Partition.from_block_of(ids))
+            return sufficient_ids(delta, ids)
 
-        monkeypatch.setattr(partitions, "is_sufficient", counting)
+        monkeypatch.setattr(partitions, "_sufficient_ids", counting)
         rng = SplitMix64(31)
         for i in range(20):
             n, m = 1 + i % 5, 1 + i // 10
@@ -286,6 +288,30 @@ class TestMsr:
                 assert msr_bruteforce(sys, e) == coarsest
                 assert set(examined) == refinements
                 assert len(examined) == prod(bell[len(block)] for block in e.blocks())
+
+    def test_raw_id_sufficiency_agrees_with_is_sufficient(self):
+        # every id tuple over n states, canonical or not, on systems of 1-5 states
+        rng = SplitMix64(33)
+        for i in range(30):
+            n, m = 1 + i % 5, 1 + rng.below(3)
+            sys = make_random(n, m, rng.next_u64())
+            for ids in product(range(n), repeat=n):
+                expected = is_sufficient(sys, Partition.from_block_of(ids))[0]
+                assert partitions._sufficient_ids(sys.delta, ids) == expected
+
+    def test_acceptance_catches_a_raw_id_test_blind_to_the_last_action(self, monkeypatch):
+        sufficient_ids = partitions._sufficient_ids
+        monkeypatch.setattr(partitions, "_sufficient_ids",
+                            lambda delta, ids: sufficient_ids([row[:-1] for row in delta], ids))
+        result = run_check(4, 42)
+        assert not result.ok
+        assert "refinement disagrees with enumeration" in result.detail
+
+    def test_bruteforce_refuses_two_coarsest_candidates(self, monkeypatch):
+        # a stand-in keeping every split of three states into 2 or 3 blocks: no 2-block one is coarsest
+        monkeypatch.setattr(partitions, "_sufficient_ids", lambda delta, ids: len(set(ids)) > 1)
+        with pytest.raises(CheckError, match="no single coarsest element"):
+            msr_bruteforce(make_cycle(3), Partition.single_block(3))
 
     def test_bruteforce_rejects_large_systems(self):
         sys = make_cycle(9)

@@ -101,6 +101,13 @@ def test_join_is_order_insensitive(n, data):
 
 
 @given(st.integers(1, 8), st.data())
+def test_join_is_the_closure_of_each_block_chain(n, data):
+    parts = data.draw(st.lists(partitions(n), max_size=4))
+    chains = [pair for part in parts for block in part.blocks() for pair in zip(block, block[1:])]
+    assert join_partitions(n, parts) == generated_closure(n, chains)
+
+
+@given(st.integers(1, 8), st.data())
 def test_refinement_is_a_partial_order(n, data):
     a = data.draw(partitions(n))
     b = data.draw(partitions(n))
