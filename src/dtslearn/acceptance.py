@@ -145,8 +145,8 @@ def _check_commute(seed: int) -> str:
         cover, h = _random_cover(base, rng)
         e1 = _rand_partition(rng, n)
         lifted = msr(cover, pullback(h, e1))
-        require(lifted == pullback(h, msr(base, e1)), f"instance {i}: commute failed")
         e1_stable = msr(base, e1)
+        require(lifted == pullback(h, e1_stable), f"instance {i}: commute failed")
         q_cover, _ = quotient(cover, pullback(h, e1_stable))
         q_base, _ = quotient(base, e1_stable)
         require(are_isomorphic(q_cover, q_base, anchored=True)[0],

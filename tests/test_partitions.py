@@ -382,6 +382,40 @@ class TestQuotient:
             assert str(info.value) == expected
         assert conflicts > 100
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    @pytest.mark.parametrize("rooted", [True, False])
+    def test_identity_quotient_is_the_system_itself(self, labeled, rooted, monkeypatch):
+        rng = SplitMix64(28)
+        for n in (1, 2, 5, 40):
+            delta = [[rng.below(n) for _ in range(3)] for _ in range(n)]
+            names = [("p", "q", "r")[rng.below(3)] for _ in range(n)] if labeled else None
+            env = TransitionSystem.from_tables(("a", "b", "c"), delta, names,
+                                               rng.below(n) if rooted else None)
+            q, projection = quotient(env, Partition.identity(n))
+            assert q is env and q.delta is env.delta
+            assert projection == StateMap(n, n, tuple(range(n)))
+            with monkeypatch.context() as patch:  # the general construction, block by block
+                patch.setattr(Partition, "is_identity", property(lambda self: False))
+                general = quotient(env, Partition.identity(n))
+            assert general == (q, projection) and general[0] is not env
+
+    def test_only_an_identity_of_the_right_size_is_passed_through(self):
+        line = make_line(4)
+        for e in (Partition.identity(5), Partition.identity(3)):
+            with pytest.raises(InputError) as info:
+                quotient(line, e)
+            assert str(info.value) == "partition is not over the system's states"
+        refused = {
+            partition_from_labels(line): "partition is not sufficient: states 1 and 2 are "
+                                         "equivalent but their successors under action 'L' are not",
+            Partition.single_block(4): "partition is not label-closed: states 0 and 1 are "
+                                       "equivalent but carry different labels",
+        }
+        for e, text in refused.items():
+            with pytest.raises(PreconditionError) as info:
+                quotient(line, e)
+            assert str(info.value) == text
+
     def test_projection_is_homomorphism(self):
         from dtslearn import is_homomorphism
 
@@ -451,3 +485,21 @@ class TestTransportLaws:
     def test_fibers_are_map_closed(self):
         m = StateMap(4, 2, (0, 1, 0, 1))
         assert is_map_closed(fiber_partition(m), m)
+
+    def test_map_closed_is_the_fibers_refining(self):
+        rng = SplitMix64(21)
+        outcomes = set()
+        for _ in range(300):
+            n, k = 1 + rng.below(8), 1 + rng.below(4)
+            m = StateMap(n, k, tuple(rng.below(k) for _ in range(n)))
+            e = rand_partition(rng, n)
+            closed = is_map_closed(e, m)
+            assert closed == is_refinement(fiber_partition(m), e)
+            outcomes.add(closed)
+        assert outcomes == {True, False}
+
+    def test_map_closed_refuses_a_partition_of_another_size(self):
+        m = StateMap(3, 2, (0, 1, 0))
+        for e in (Partition.identity(4), Partition.single_block(2)):
+            with pytest.raises(InputError, match="^partitions are over different state sets$"):
+                is_map_closed(e, m)

@@ -24,7 +24,10 @@ from dtslearn import (
     partition_from_labels,
     quotient,
 )
+import dtslearn.coupling as coupling
+import dtslearn.partitions as partitions
 from dtslearn.acceptance import _random_cover
+from dtslearn.coupling import _union_blocks
 from dtslearn.core import intern_names
 from dtslearn.envs import SplitMix64
 
@@ -142,9 +145,10 @@ class TestMultiWaySplits:
                 assert msr(sys, e) == moore_msr(sys, e)
 
     def test_peak_memory_on_the_27000_state_arm(self):
-        # the index holds one code per cell and a block is a set, or a 1-tuple when it
-        # has one state: about 12 MiB; a per-action index with a swap layout took
-        # 14.29 MiB, and sets for one-state blocks too take 16.3
+        # the index holds one int64 code per cell, built by numpy, and a block is a set,
+        # or a 1-tuple when it has one state: about 7 MiB; the index as lists of boxed
+        # codes took 12.2 MiB, a per-action index with a swap layout 14.29 MiB, and
+        # sets for one-state blocks too 16.3
         arm = make_arm(ArmSpec(3, 30, frozenset(), (0, 0, 0)))
         e = partition_from_labels(arm)
         tracemalloc.start()
@@ -154,7 +158,69 @@ class TestMultiWaySplits:
         finally:
             tracemalloc.stop()
         assert part.is_identity and arm.n_states == 27_000
-        assert peak <= 13.5, peak
+        assert peak <= 8, peak
+
+
+class TestIndexBuilds:
+    """The numpy-built predecessor index and the list buckets give the same run.
+
+    ``_refine`` is compared raw: block ids as numbered by the splitting and the
+    record of splits, both of which follow the order of cells within a target.
+    """
+
+    @staticmethod
+    def both_paths(monkeypatch, run):
+        out = []
+        for cells in (0, 1 << 62):  # every system on the array path, then on the lists
+            with monkeypatch.context() as patch:
+                patch.setattr(partitions, "_ARRAY_INDEX_CELLS", cells)
+                out.append(run())
+        return out
+
+    def assert_same(self, monkeypatch, sys, e):
+        array_run, list_run = self.both_paths(monkeypatch, lambda: partitions._refine(
+            sys.n_states, sys.n_actions, iter(sys.delta), e.block_of))
+        assert array_run == list_run
+        assert Partition.from_block_of(array_run[0]) == moore_msr(sys, e)
+
+    def test_random_systems(self, monkeypatch):
+        rng = SplitMix64(301)
+        for _ in range(40):
+            sys = random_system(rng, 9 + rng.below(120), 1 + rng.below(4))
+            for e in (partition_from_labels(sys), rand_partition(rng, sys.n_states)):
+                self.assert_same(monkeypatch, sys, e)
+
+    @pytest.mark.parametrize("n", [200, 400, 600])
+    def test_lines(self, monkeypatch, n):
+        line = make_line(n)
+        rng = SplitMix64(n)
+        for e in (partition_from_labels(line), rand_partition(rng, n), Partition.single_block(n)):
+            self.assert_same(monkeypatch, line, e)
+
+    def test_arms(self, monkeypatch):
+        rng = SplitMix64(302)
+        for arm in (three_joint_arm(), make_arm(ArmSpec(2, 9, frozenset({(2, 2)}), (0, 0)))):
+            for e in (partition_from_labels(arm), rand_partition(rng, arm.n_states)):
+                self.assert_same(monkeypatch, arm, e)
+
+    def test_streamed_union_rows(self, monkeypatch):
+        runs = []
+
+        def record(*args):
+            runs.append(partitions._refine(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(coupling, "_refine", record)
+        rng = SplitMix64(303)
+        pairs = [(three_joint_arm(), three_joint_arm())]
+        for _ in range(20):
+            m = 1 + rng.below(4)
+            pairs.append((random_system(rng, 9 + rng.below(60), m, ("a", "b", "c")),
+                          random_system(rng, 9 + rng.below(60), m, ("c", "z", "a"))))
+        for env, internal in pairs:
+            runs.clear()
+            blocks = self.both_paths(monkeypatch, lambda: _union_blocks(env, internal))
+            assert runs[0] == runs[1] and blocks[0] == blocks[1] == runs[0][0]
 
 
 class TestBisimulationAgainstPairwise:
