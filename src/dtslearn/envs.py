@@ -209,6 +209,16 @@ def _moves_in_and_out(cand: np.ndarray) -> np.ndarray:
     return moving.any(axis=2).all(axis=1) & (entered > 0).all(axis=1)
 
 
+def _one_cycle(cand: np.ndarray) -> np.ndarray:
+    """Which ``(K, n)`` one-action tables are one n-cycle: state 0 first returns at step n."""
+    flat, base = cand.ravel(), np.arange(0, cand.size, cand.shape[1])
+    cur, alive = flat[base], np.ones(len(cand), dtype=bool)
+    for _ in range(cand.shape[1] - 1):
+        alive &= cur != 0
+        cur = flat[base + cur]
+    return alive & (cur == 0)
+
+
 def make_random(n: int, m: int, seed: int,
                 require_min_dist: bool = False,
                 pointed: bool = False) -> TransitionSystem:
@@ -223,15 +233,15 @@ def make_random(n: int, m: int, seed: int,
     stream outputs, so the time to give up does not grow with the table.
     ``n`` is at most ``MAX_STATES`` and ``m`` at most ``MAX_ACTIONS``; larger
     values raise ``InputError`` before anything is built or drawn.
-    Candidates are drawn in numpy batches (the first of about
-    ``_BATCH_DRAWS / 32`` stream outputs, ``/ 4`` with ``require_min_dist``,
-    then four times as many candidates, up to ``_BATCH_DRAWS``) and tested in
-    order by ``core``'s search, after numpy filters for minimal distinction
-    and, from the second batch on, for a state with no edge to or from
-    another. Batch sizes do not change the result. The stream is left just past the
-    chosen candidate, as a one-at-a-time loop would leave it. Labels: a
-    pointed system gives state 0 the only "click"; otherwise the next ``n``
-    outputs give each state one of two values, by parity.
+    Candidates are drawn in numpy batches (the first of about ``_BATCH_DRAWS
+    / 32`` stream outputs, ``/ 4`` with ``require_min_dist``, then four times
+    as many, up to ``_BATCH_DRAWS``) and tested in order by ``core``'s search,
+    after numpy filters for minimal distinction and, from the second batch on,
+    a state with no edge to or from another (with one action and at most 16
+    states, every batch, for an n-cycle). Batch sizes do not change the result.
+    The stream is left just past the chosen candidate, as a one-at-a-time loop
+    would leave it. Labels: a pointed system gives state 0 the only "click";
+    otherwise the next ``n`` outputs give each state one of two values, by parity.
     """
     n = _index(n, "the state count")
     m = _index(m, "the action count")
@@ -254,9 +264,11 @@ def make_random(n: int, m: int, seed: int,
         keep = np.arange(k)
         if require_min_dist:
             keep = keep[_minimally_distinguishing(cand)]
-        # a small table's first batch usually holds a winner, and searching up to it costs
-        # about what the precheck's dozen numpy calls do; a later batch is prechecked
-        if tried:
+        # one action, at most 16 states: n numpy steps decide a batch (past 16 they cost more than
+        # the precheck). Else a small table's first batch is searched: it usually holds a winner
+        if m == 1 and n <= 16:
+            keep = keep[_one_cycle(cand[keep, :, 0])]
+        elif tried:
             keep = keep[_moves_in_and_out(cand[keep])]
         found = next(((i, rows) for i in keep.tolist()
                       if _strongly_connected(rows := cand[i].tolist())), None)

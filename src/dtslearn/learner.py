@@ -18,8 +18,8 @@ off it is split over a horizon: exact, and cheaper.
 
 from __future__ import annotations
 
+import struct
 import sys
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from time import perf_counter
@@ -154,20 +154,23 @@ class DepthAttempt:
 
 
 class _Attempts(Sequence):
-    """A run's depth attempts as one array of numbers; each is made a ``DepthAttempt`` when read.
+    """A run's depth attempts, one packed record each; each is made a ``DepthAttempt`` when read.
 
-    Callers keep reports by the thousand (a benchmark keeps every run's), and
-    the array holds an attempt in 64 bytes where its objects take about 170.
-    Details, which repeat from run to run, are interned.
+    Callers keep reports by the thousand. A ``_RECORD`` takes 38 bytes, where the
+    objects take about 170: depth and horizon as uint32 (a bounded run ends by 2^17,
+    and table words stop at 2^15 actions), the method's index and ``ok`` a byte each,
+    ``n_states`` as uint32 (tree ids are int32), resets and steps as uint64, seconds
+    as a double. Details are interned.
     """
 
-    __slots__ = ("_numbers", "_details")
+    __slots__ = ("_records", "_details")
     _METHODS = ("trie", "table")
+    _RECORD = struct.Struct("<IIB?IQQd")
 
     def __init__(self, attempts):
-        self._numbers = array("d", [x for att in attempts for x in (
+        self._records = b"".join(self._RECORD.pack(
             att.depth, att.horizon, self._METHODS.index(att.method), att.ok, att.n_states,
-            att.resets, att.steps, att.seconds)])
+            att.resets, att.steps, att.seconds) for att in attempts)
         self._details = tuple(sys.intern(att.detail) for att in attempts)
 
     def __len__(self) -> int:
@@ -177,9 +180,8 @@ class _Attempts(Sequence):
         if isinstance(i, slice):
             return tuple(self)[i]
         i = range(len(self))[i]  # negative indices count from the end; IndexError past it
-        depth, horizon, method, ok, n_states, resets, steps, seconds = self._numbers[8 * i:8 * i + 8]
-        return DepthAttempt(int(depth), int(horizon), self._METHODS[int(method)], bool(ok),
-                            int(n_states), self._details[i], int(resets), int(steps), seconds)
+        d, h, method, ok, n, *costs = self._RECORD.unpack_from(self._records, self._RECORD.size * i)
+        return DepthAttempt(d, h, self._METHODS[method], ok, n, self._details[i], *costs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
@@ -246,7 +248,8 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
     on the environment's states. Each candidate is minimized and checked by a
     W-method suite through the oracle (see ``_ObservationTable.certify``),
     and the run stops at the first depth whose suite passes: the model is
-    then exact for every environment of at most N states. Depths end at
+    then exact for every environment of at most N states (a model of N states
+    needs no suite: observed words tell its states apart). Depths end at
     ``2N + 2``, where the table can hold every state of such an environment,
     or at a table depth of at least ``2n + 2`` for its ``n`` representatives
     whose suite neither passes nor fails (it outgrows ``SUITE_WORDS``, or

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import signal
+import sys
 import tracemalloc
 from itertools import product
 from time import perf_counter
@@ -571,7 +572,7 @@ class TestLearn:
         assert f"{first.resets} resets, {first.steps} steps" in report.summary()
 
     def test_attempts_read_back_as_recorded(self):
-        # the report keeps its attempts packed in one array of numbers
+        # the report keeps its attempts packed, one fixed-width record each
         _, report = learn(make_random(6, 3, 77), 0, 14)
         atts = tuple(report.attempts)
         assert len(report.attempts) == len(atts) == 6
@@ -585,6 +586,33 @@ class TestLearn:
                                       att.seconds)] == [int, bool, int, int, int, float]
         with pytest.raises(IndexError):
             report.attempts[6]
+
+    def test_attempts_round_trip_at_their_extremes(self):
+        # the deepest bounded depth (2N + 2 with N·m under SUITE_WORDS), the most model
+        # states int32 tree ids allow, counts past 2^32 and seconds at full precision
+        depth = 2 * (observations.SUITE_WORDS - 1) + 2
+        atts = [learner.DepthAttempt(depth, depth // 2, "table", True, 2 ** 31 - 1, "certified",
+                                     2 ** 32 + 1, 2 ** 63 + 5, 1 / 3),
+                learner.DepthAttempt(2, 1, "trie", False, 0, "", 2 ** 40, 2 ** 64 - 1, 5e-324),
+                learner.DepthAttempt(4, 2, "table", True, 1, "", 0, 0, 1e300)]
+        packed = learner._Attempts(atts)
+        assert list(packed) == atts and len(packed) == 3
+        for att in packed:
+            assert [type(v) for v in (att.depth, att.ok, att.n_states, att.resets, att.steps,
+                                      att.seconds)] == [int, bool, int, int, int, float]
+        assert packed == atts and packed == tuple(atts) and packed != atts[:2]
+        assert hash(packed) == hash(tuple(atts))
+        assert packed[-1] == atts[2] and packed[-3] == atts[0]
+        assert packed[1:] == tuple(atts[1:]) and packed[::-2] == (atts[2], atts[0])
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                packed[i]
+        assert learner._Attempts([]) == () and not learner._Attempts([])
+
+    def test_an_attempt_is_packed_in_38_bytes(self):
+        _, report = learn(make_random(6, 3, 77), 0, 14)
+        records = report.attempts._records
+        assert sys.getsizeof(records) - sys.getsizeof(b"") == 38 * len(report.attempts) == 38 * 6
 
     def test_combination_lock_is_exact_only_with_the_depth_floor(self):
         # "r" advances, "w" resets, and only the last state clicks: one word
@@ -740,7 +768,7 @@ class TestLearn:
 
 
 # sha256 of test_golden_digest's records
-GOLDEN_LEARN_DIGEST = "3cfb52a451b1cdfd417a1d8fca176d7068cf77e166ae1e221db9c850872e5976"
+GOLDEN_LEARN_DIGEST = "e7f8b3a9bb6cdd0ac99a338380a0370016991afa35f5ca3a5c13ecad0f2bd9f6"
 # sha256 of test_golden_oracle_counts's records: 465,577 resets and 4,257,030 steps in all
 GOLDEN_COUNT_DIGEST = "0e3562417d6b83e326c6bfd96d1bf5b17f8365c9e690e3b2cf62b5bd6c6cdbd3"
 # (resets, steps) of each golden learn while the trie depths explored a trie of their
@@ -983,6 +1011,78 @@ class TestCertificate:
             partitions._separating_words(model, [()])
             times.append(perf_counter() - start)
         assert min(times) <= 0.1
+
+    @staticmethod
+    def sigma0_suite_word(env, x0, model):
+        """The first word of the Σ^0 suite, cover × W, that ``model`` labels wrong, or None.
+
+        The layer ``certify`` ran on a model of ``bound`` states before it certified
+        such a model with no suite: each state's breadth-first access word and its
+        one-step extensions, each followed by every separating word of the model,
+        asked afresh of ``env``.
+        """
+        table = observations._ObservationTable(EnvOracle(env, x0))
+        access, m = {0: ()}, model.n_actions
+        for s in range(model.n_states):  # canonical numbering is breadth-first
+            for a in range(m):
+                access.setdefault(model.delta[s][a], access[s] + (a,))
+        cover = [(access[s] + tail, s if not tail else model.delta[s][tail[0]])
+                 for s in range(model.n_states) for tail in [()] + [(a,) for a in range(m)]]
+        nodes = []
+        for word, _ in cover:
+            v = np.ones(1, dtype=np.int64)
+            for a in word:
+                v = table._child(v, np.array([a]))
+            nodes.append(int(v[0]))
+        words, lens = observations._padded(partitions._separating_words(model, [()]))
+        names = table.oracle.label_names
+        labels = np.array([names.index(model.label_names[label]) for label in model.labels])
+        return table._mismatch(np.array(nodes), np.array([s for _, s in cover]), words, lens,
+                               np.array(model.delta, dtype=np.int64), labels)
+
+    def test_a_model_of_bound_states_would_pass_the_suite(self):
+        # every bounded golden learn and 300 random systems of 2-7 states: a candidate of
+        # `bound` states is certified with no suite, the Σ^0 suite it skipped passes, and
+        # it is the system's minimal quotient; so is every other certified candidate
+        calls, certify = [], observations._ObservationTable.certify
+
+        def recording(table, model, bound, suffixes):
+            verdict = certify(table, model, bound, suffixes)
+            calls.append((model, bound, verdict[0]))
+            return verdict
+
+        runs = [(env, x0) for env, x0, bounded in _digest_learns() if bounded]
+        rng = SplitMix64(43)
+        for _ in range(300):
+            runs.append((make_random(2 + rng.below(6), 1 + rng.below(3), rng.next_u64(),
+                                     pointed=bool(rng.below(2))), 0))
+        at_bound = 0
+        for env, x0 in runs:
+            calls.clear()
+            n = env.n_states
+            with patch.object(observations._ObservationTable, "certify", recording):
+                _, report = learn(env, x0, 2 * n + 2, min_depth=2 * n)
+            small, _ = quotient(env, msr(env, partition_from_labels(env)))
+            for model, bound, certified in calls:
+                if model.n_states == bound:
+                    at_bound += 1
+                    assert certified and self.sigma0_suite_word(env, x0, model) is None
+                if certified:
+                    assert are_isomorphic(small, model, anchored=True, anchor_a=small.initial)[0]
+            assert report.converged == any(c for _, _, c in calls)
+        assert at_bound >= 150, at_bound
+
+    def test_the_142_state_arm_is_certified_at_its_bound(self):
+        # the Σ^0 layer alone would be 569 cover words × 141 suffixes, over SUITE_WORDS,
+        # so no depth was certified before a model of 142 states needed no suite
+        arm = make_arm(ArmSpec(2, 12, frozenset({(1, 1), (4, 4)}), (0, 0)))
+        model, report = learn(arm, arm.initial, 286, min_depth=284)
+        assert arm.n_states == 142 and report.converged and report.bound == 142
+        assert (report.depth_converged, report.oracle_resets, report.oracle_steps) == \
+            (26, 156424, 2228532)
+        assert report.attempts[-1].detail == \
+            "certified with no suite: the model has all 142 states"
+        assert are_isomorphic(arm, model, anchored=True, anchor_a=arm.initial)[0]
 
     def test_a_bound_below_the_model_size_is_not_certified(self):
         env = make_line(4)
