@@ -237,7 +237,7 @@ def make_random(n: int, m: int, seed: int,
     / 32`` stream outputs, ``/ 4`` with ``require_min_dist``, then four times
     as many, up to ``_BATCH_DRAWS``) and tested in order by ``core``'s search,
     after numpy filters for minimal distinction and, from the second batch on,
-    a state with no edge to or from another (with one action and at most 16
+    a state with no edge to or from another (with one action and under 30
     states, every batch, for an n-cycle). Batch sizes do not change the result.
     The stream is left just past the chosen candidate, as a one-at-a-time loop
     would leave it. Labels: a pointed system gives state 0 the only "click";
@@ -264,9 +264,9 @@ def make_random(n: int, m: int, seed: int,
         keep = np.arange(k)
         if require_min_dist:
             keep = keep[_minimally_distinguishing(cand)]
-        # one action, at most 16 states: n numpy steps decide a batch (past 16 they cost more than
-        # the precheck). Else a small table's first batch is searched: it usually holds a winner
-        if m == 1 and n <= 16:
+        # one action, under 30 states: n numpy steps decide a batch (from about 30 on they cost more
+        # than the precheck). Else a small table's first batch is searched: it usually holds a winner
+        if m == 1 and n < 30:
             keep = keep[_one_cycle(cand[keep, :, 0])]
         elif tried:
             keep = keep[_moves_in_and_out(cand[keep])]

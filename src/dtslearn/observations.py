@@ -459,9 +459,13 @@ class _ObservationTable:
         """The gate of every candidate: its canonical form, or under a bound its certificate.
 
         Under a bound the candidate is minimized and replayed through ``certify``
-        with ``suffixes`` first in W (none at ``bound`` states); the report takes
-        its detail. Returns the checked candidate, the report, whether it is
-        certified and a word it labels wrong, if the suite found one.
+        with ``suffixes`` first in W; the report takes its detail. Returns the
+        checked candidate, the report, whether it is certified and a word it
+        labels wrong, if the suite found one. A candidate of ``bound`` states needs
+        no suite. Its states are table rows or trie classes (minimizing only
+        merges) that observed words tell apart, so they are ``bound`` different
+        environment states: all of them. A closed table then sends each successor
+        to the row of its own state, the only row that holds it.
         """
         if model is None:
             return None, report, False, None
@@ -469,6 +473,9 @@ class _ObservationTable:
             return canonical_form(model, model.initial)[0], report, False, None
         small, _ = quotient(model, msr(model, partition_from_labels(model)))
         model = canonical_form(small, small.initial)[0]
+        if model.n_states == bound:
+            return model, replace(report, detail=f"certified with no suite: the model has all "
+                                                 f"{bound} states"), True, None
         certified, word, detail = self.certify(model, bound, suffixes)
         return model, replace(report, detail=detail), certified, word
 
@@ -521,15 +528,10 @@ class _ObservationTable:
         at most ``bound`` states has the model as its minimal quotient. Returns
         whether it passed, the failing word if one was found, and a detail line;
         a suite of more than ``SUITE_WORDS`` words is not run to its end.
-        A model of ``bound`` states needs no suite. Its states are table rows or trie
-        classes (minimizing only merges) that observed words tell apart, so they are
-        ``bound`` different environment states: all of them. A closed table then sends
-        each successor to the row of its own state, the only row that holds it.
         """
         n, m = model.n_states, self.m
-        if n >= bound:
-            return n == bound, None, (f"certified with no suite: the model has all {bound} states"
-                                      if n == bound else f"not certified: more than {bound} states")
+        if n > bound:
+            return False, None, f"not certified: more than {bound} states"
         delta = np.array(model.delta, dtype=np.int64)
         names = self.oracle.label_names
         labels = np.array([names.index(model.label_names[label]) for label in model.labels])

@@ -384,14 +384,14 @@ class TestBatchFilters:
 
     def test_one_cycle_matches_the_core_search(self):
         # every one-action table of up to 6 states, 50,069 in all, and random tables and
-        # permutations of up to 16, the largest make_random decides in numpy
+        # permutations of up to 29, the largest make_random decides in numpy
         for n in range(1, 7):
             tables = np.array(list(product(range(n), repeat=n))).reshape(-1, n)
             expected = [core._strongly_connected([[t] for t in row]) for row in tables.tolist()]
             assert envs._one_cycle(tables).tolist() == expected
             assert sum(expected) == max(1, np.prod(range(1, n)))  # (n - 1)! cycles
         rng = np.random.default_rng(16)
-        for n in range(7, 17):
+        for n in range(7, 30):
             tables = np.concatenate([rng.integers(0, n, (50, n)),
                                      [rng.permutation(n) for _ in range(200)]])
             expected = [core._strongly_connected([[t] for t in row]) for row in tables.tolist()]

@@ -1016,8 +1016,8 @@ class TestCertificate:
     def sigma0_suite_word(env, x0, model):
         """The first word of the Σ^0 suite, cover × W, that ``model`` labels wrong, or None.
 
-        The layer ``certify`` ran on a model of ``bound`` states before it certified
-        such a model with no suite: each state's breadth-first access word and its
+        The layer ``certify`` ran on a model of ``bound`` states before ``check``
+        certified such a model with no suite: each state's breadth-first access word and its
         one-step extensions, each followed by every separating word of the model,
         asked afresh of ``env``.
         """
@@ -1044,11 +1044,12 @@ class TestCertificate:
         # every bounded golden learn and 300 random systems of 2-7 states: a candidate of
         # `bound` states is certified with no suite, the Σ^0 suite it skipped passes, and
         # it is the system's minimal quotient; so is every other certified candidate
-        calls, certify = [], observations._ObservationTable.certify
+        calls, check = [], observations._ObservationTable.check
 
-        def recording(table, model, bound, suffixes):
-            verdict = certify(table, model, bound, suffixes)
-            calls.append((model, bound, verdict[0]))
+        def recording(table, model, report, bound, suffixes=((),)):
+            verdict = check(table, model, report, bound, suffixes)
+            if bound is not None and verdict[0] is not None:
+                calls.append((verdict[0], bound, verdict[2]))
             return verdict
 
         runs = [(env, x0) for env, x0, bounded in _digest_learns() if bounded]
@@ -1060,7 +1061,7 @@ class TestCertificate:
         for env, x0 in runs:
             calls.clear()
             n = env.n_states
-            with patch.object(observations._ObservationTable, "certify", recording):
+            with patch.object(observations._ObservationTable, "check", recording):
                 _, report = learn(env, x0, 2 * n + 2, min_depth=2 * n)
             small, _ = quotient(env, msr(env, partition_from_labels(env)))
             for model, bound, certified in calls:
