@@ -264,11 +264,9 @@ def make_random(n: int, m: int, seed: int,
         keep = np.arange(k)
         if require_min_dist:
             keep = keep[_minimally_distinguishing(cand)]
-        # one action, under 30 states: n numpy steps decide a batch (from about 30 on they cost more
-        # than the precheck). Else a small table's first batch is searched: it usually holds a winner
-        if m == 1 and n < 30:
+        if m == 1 and n < 30:  # n numpy steps decide a batch; from 30 on the precheck costs less
             keep = keep[_one_cycle(cand[keep, :, 0])]
-        elif tried:
+        elif tried:  # a small table's first batch is searched: it usually holds a winner
             keep = keep[_moves_in_and_out(cand[keep])]
         found = next(((i, rows) for i in keep.tolist()
                       if _strongly_connected(rows := cand[i].tolist())), None)

@@ -458,14 +458,13 @@ class _ObservationTable:
               suffixes=((),)) -> tuple[TransitionSystem | None, BuildReport, bool, tuple | None]:
         """The gate of every candidate: its canonical form, or under a bound its certificate.
 
-        Under a bound the candidate is minimized and replayed through ``certify``
-        with ``suffixes`` first in W; the report takes its detail. Returns the
-        checked candidate, the report, whether it is certified and a word it
-        labels wrong, if the suite found one. A candidate of ``bound`` states needs
-        no suite. Its states are table rows or trie classes (minimizing only
-        merges) that observed words tell apart, so they are ``bound`` different
-        environment states: all of them. A closed table then sends each successor
-        to the row of its own state, the only row that holds it.
+        Under a bound the candidate is minimized and replayed through ``certify`` with
+        ``suffixes`` first in W; the report takes its detail. Returns the checked
+        candidate, the report, whether it is certified and a word it labels wrong, if
+        the suite found one. A candidate of ``bound`` states needs no suite: its states
+        are table rows or trie classes (minimizing only merges) told apart by observed
+        words, so they are all ``bound`` environment states, and a closed table sends
+        each successor to the only row that holds its state.
         """
         if model is None:
             return None, report, False, None
