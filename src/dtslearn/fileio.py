@@ -16,16 +16,16 @@ canonical (states ascending, actions in header order), so parse and write
 round-trip bit-exactly.
 
 Text is read a piece of about 64 KiB at a time, never split whole. In
-``parse_dts``, a piece after the header that holds plain ``trans S ACT T``
-lines only, as ``write_dts`` writes them, is read in bulk; any other piece
-(comments, blank lines, other spacing or line breaks, any error) is read
-line by line. Both paths raise the same first ``ParseError``.
+``parse_dts``, from the first transition on, a piece of plain ``trans S ACT T``
+lines only, as ``write_dts`` writes them, is read in bulk as ASCII bytes; any
+other piece (comments, blank lines, other spacing, line breaks or bytes, any
+error) is read line by line. Both paths raise the same first ``ParseError``.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
@@ -44,13 +44,12 @@ class ParseError(DtsError):
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # str.splitlines' own
 
 
-def _numbered_lines(text: str, read_piece=None):
-    """``enumerate(text.splitlines(), start=1)``, split about 64 KiB at a time, not all at once.
+def _numbered_lines(text: str, read_piece=None, pos: int = 0, count: int = 0):
+    """``enumerate(text[pos:].splitlines(), start=count + 1)``, split about 64 KiB at a time.
 
     Each piece is first offered to ``read_piece``, if given: the lines of a piece that it
     reads whole, returning their count, are not yielded.
     """
-    count = pos = 0
     while pos < len(text):
         brk = _LINE_BREAK.search(text, pos + (1 << 16))  # a piece ends where a line does
         end = brk.end() if brk else len(text)
@@ -95,55 +94,80 @@ def _transition(tokens: list[str], line_no: int, n_states: int, action_index: di
     return s, a, t
 
 
-# Plain transition lines, a piece of which is read in bulk. The action may be any token
-# here, checked through the action dict: an alternation of the m names costs O(m) a line.
-_PLAIN = re.compile(r"(?:trans [0-9]{1,9} \S+ [0-9]{1,9}\n)*")
+_SEPARATORS = np.array([32, 32, 32, 10], np.uint8)  # the spaces and line feed of 'trans S ACT T\n'
+_LOW = np.array([2 ** (8 * j) - 1 for j in range(9)], np.uint64)  # the masks of a word's j low bytes
 
 
-def _read_piece(piece: str, table, n_states: int, action_index: dict) -> int:
+def _name_table(action_names) -> tuple:
+    """``_read_piece``'s action names, sorted by key (the XOR of a name's bytes as 8-byte
+    little-endian words): keys, action ids, lengths and words, then a row past every key
+    that matches nothing. A name with a byte outside ASCII or below 33 is in no plain line.
+    """
+    named = {a: n.encode() for a, n in enumerate(action_names) if n.isascii() and min(n) > " "}
+    width = max([len(raw) + 7 >> 3 for raw in named.values()], default=1)
+    words = np.array([[int.from_bytes(raw[j:j + 8], "little") for j in range(0, 8 * width, 8)]
+                      for raw in named.values()] + [[0] * width], np.uint64)
+    keys = np.bitwise_xor.reduce(words, axis=1)
+    keys[-1] = (1 << 64) - 1
+    order, lengths = np.argsort(keys, kind="stable"), np.array([*map(len, named.values()), -1])
+    return keys[order], np.array([*named, 0])[order], lengths[order], words[order].T
+
+
+def _read_piece(piece: str, table, n_states: int, keys, ids, lengths, words) -> int:
     """Fill ``table`` from a piece of plain lines in bulk; its line count, or 0 if it is not one.
 
-    A piece that is not all plain 'trans S ACT T' lines of known actions, or that names
+    The piece is read as ASCII bytes. Its bytes below 33 must be, on every line, three
+    spaces and a line feed; the first field must be ``trans``, the second and fourth one
+    to nine digits, read column by column, and the third a name of ``_name_table``, found
+    by its key and matched word by word. A piece that is not all such lines, or that names
     a state out of range or a cell already filled or named twice, writes nothing: its
-    lines are read one at a time, which finds the first error. Only numpy's parsing and
-    indexing routines run here, no ufunc: the first call of each numpy routine in a
-    process maps its code in, 64 KiB of resident memory or more.
+    lines are read one at a time, which finds the first error.
     """
-    if not _PLAIN.fullmatch(piece):
+    raw = piece.encode() if piece.isascii() else b""
+    b = np.frombuffer(raw, np.uint8)
+    gaps = np.flatnonzero(b < 33)
+    k = len(gaps) >> 2
+    if not k or len(gaps) & 3 or gaps[-1] != len(b) - 1 or (b[gaps].reshape(k, 4) != _SEPARATORS).any():
         return 0
-    tokens = piece.split()
-    k = len(tokens) // 4
-    try:
-        a = np.fromiter(map(action_index.__getitem__, tokens[2::4]), np.int64, k)
-        s, t = (np.fromstring(" ".join(tokens[i::4]), np.int64, sep=" ") for i in (1, 3))
-        cells = np.ravel_multi_index((s, a), (n_states, len(action_index)))  # s*m + a
-    except (KeyError, ValueError):  # an unknown action, or a source state out of range
+    ends, n = gaps.reshape(k, 4), np.diff(gaps, prepend=-1).reshape(k, 4) - 1  # of each line's fields
+    at = np.ndarray((len(raw) + 9,), "<u8", bytes(8) + raw + bytes(8), 0, (1,))  # at[i]: bytes i-8..i
+    if (n[:, 0] != 5).any() or (at[ends[:, 0]] >> 24 != int.from_bytes(b"trans", "little")).any():
         return 0
-    if (max(t.tolist()) >= n_states or len(set(cells.tolist())) < k  # a cell named twice
-            or max(table[cells].tolist()) != -1):  # or filled before
+    chunks = [at[np.minimum(ends[:, 1] + 9 + 8 * j, len(raw) + 8)]  # the action's words
+              & _LOW.take(n[:, 2] - 8 * j, mode="clip") for j in range(len(words))]
+    i = np.searchsorted(keys, np.bitwise_xor.reduce(chunks))
+    if (lengths[i] != n[:, 2]).any() or any((w[i] != c).any() for w, c in zip(words, chunks)):
         return 0
-    table[cells] = t
+    ends, n = ends[:, 1::2].ravel() - 1, n[:, 1::2].ravel()  # each state's last digit, and digits
+    if n.min() < 1 or n.max() > 9:
+        return 0
+    value, top = np.zeros(2 * k, np.int64), np.zeros(2 * k, np.uint8)
+    for j in range(n.max()):  # the digit columns, 10**j each
+        d = b[ends - j] - np.uint8(48)
+        d *= n > j
+        np.maximum(top, d, out=top)
+        value += d * np.int64(10 ** j)
+    if top.max() > 9 or value.max() >= n_states:
+        return 0
+    cells = value[0::2] * (len(table) // n_states) + ids[i]  # s*m + a
+    if (table[cells] != -1).any() or (np.diff(cells) <= 0).any() and len(np.unique(cells)) < k:
+        return 0  # a cell filled before, or named twice
+    table[cells] = value[1::2]
     return k
 
 
 def parse_dts(text: str) -> TransitionSystem:
     """Parse the line format above into a validated system.
 
-    After the header, the text is read a piece of about 64 KiB at a time (see
-    ``_numbered_lines``). A piece of plain lines only, each ``trans S ACT T`` with
-    single spaces, one to nine digits for each state and a line feed at the end, is
-    checked by one pattern and read in bulk. Any other piece, the piece in which the
-    header ends, and a plain piece with an unknown action, a state out of range or a
-    transition given twice are read one line at a time: so both paths raise the same
-    first ``ParseError``, with the same line number.
+    From the first transition's line on, the text is read a piece of about 64 KiB at a
+    time (see ``_numbered_lines``). A piece of plain lines only, each ``trans S ACT T``
+    with single spaces, one to nine ASCII digits for each state and a line feed at the
+    end, is read in bulk from its bytes (``_read_piece``). Any other piece, and a plain
+    piece with an unknown action, a state out of range or a transition given twice, is
+    read one line at a time: so both paths raise the same first ``ParseError``, with
+    the same line number.
     """
-    table = None  # the cells, once the header is read: then a piece may be read in bulk
-
-    def read_piece(piece: str) -> int:
-        return 0 if table is None else _read_piece(piece, table, n_states, action_index)
-
-    numbered = _numbered_lines(text, read_piece)
-    lines = _content_lines(numbered)
+    lines = _content_lines(_numbered_lines(text))
 
     def next_line(expect: str):
         for line_no, tokens in lines:
@@ -167,8 +191,9 @@ def parse_dts(text: str) -> TransitionSystem:
     action_names = tuple(tokens[1:])
     if len(set(action_names)) != len(action_names):
         raise ParseError(line_no, "action names must be distinct")
-    need = n_states * len(action_names)  # lines, before allocating: the cheap count, then every break
-    if need > text.count("\n") + text.count("\r") + 1 and need > len(_LINE_BREAK.findall(text)) + 1:
+    need = n_states * len(action_names) - 1  # line breaks, before allocating: \n, \r, then all
+    if need > (feeds := text.count("\n")) and need > feeds + text.count("\r") and need > len(
+            _LINE_BREAK.findall(text)):
         raise ParseError(states_line, "more transitions are needed than the input has lines")
 
     line_no, tokens = next_line("'labels', 'init' or 'trans'")
@@ -191,8 +216,12 @@ def parse_dts(text: str) -> TransitionSystem:
     n_actions = len(action_names)
     table = np.full(n_states * n_actions, -1, np.int32)  # the cell of (s, a) is s*m + a; -1: unset
     cells = memoryview(table)  # reads and writes plain ints, near a list's speed
-    # plain 'trans S ACT T' lines are checked inline; the rest go through _transition
-    for line_no, raw in chain([(line_no, " ".join(tokens))], numbered):
+    names = _name_table(action_names)
+    start = next(islice(_LINE_BREAK.finditer(text), line_no - 2, None)).end()  # of line line_no
+    # from the first transition's line on, a piece of plain lines is read in bulk; in any
+    # other, plain 'trans S ACT T' lines are checked inline and the rest go through _transition
+    for line_no, raw in _numbered_lines(text, lambda piece: _read_piece(piece, table, n_states, *names),
+                                        start, line_no - 1):
         tokens = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
         try:
             word, s, name, t = tokens

@@ -41,6 +41,7 @@ from .partitions import Partition
 EXPLORE_NODE_BUDGET = 1 << 25
 EXPLORE_LEVEL_BUDGET = 1 << 15  # a level costs a step call and an array; words fit int16
 TRIE_NODES = 1 << 14  # a complete trie this small is cheaper to explore than a table build
+ONE_ACTION_BOUND = 64  # over one action, certifying N states costs about N^3 numpy calls: 1 s at 64
 
 
 def _as_oracle(env, x0: int | None) -> EnvOracle:
@@ -84,9 +85,12 @@ def bounded_indistinguishability(trie: HistoryTrie, horizon: int) -> Partition:
     obs = np.concatenate(trie.levels, dtype=np.min_scalar_type(len(trie.label_names) - 1),
                          casting="unsafe")
     n = offs[trie.depth - horizon + 1]
+    # rows of at most 8 bytes are padded to 8 and sorted as uint64s: void rows compare a call a pair
+    pad = max(8 // obs.itemsize - sum(m ** k for k in range(horizon + 1)), 0)
     rows = np.concatenate([obs[offs[k]:offs[k] + m ** k * n].reshape(n, m ** k)
-                           for k in range(horizon + 1)], axis=1)
-    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))),
+                           for k in range(horizon + 1)] + [np.zeros((n, pad), obs.dtype)], axis=1)
+    width = rows.shape[1] * rows.itemsize
+    _, first, inverse = np.unique(rows.view(np.uint64 if width == 8 else np.dtype((np.void, width))),
                                   return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))  # each class's number by its first node
     return Partition._trusted(n, len(first), tuple(rank[inverse.ravel()].tolist()))
@@ -255,7 +259,8 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
     whose suite neither passes nor fails (it outgrows ``SUITE_WORDS``, or
     ``n`` exceeds N): every deeper depth would rebuild the same table and
     suite. A bound whose smallest suite, the model's cover at N states,
-    would exceed ``SUITE_WORDS`` is an ``InputError``.
+    would exceed ``SUITE_WORDS`` is an ``InputError``, and so is a bound above
+    ``ONE_ACTION_BOUND`` over one action.
 
     Returns the certified or stabilized model in canonical form, or the last
     candidate (possibly None), with each depth's oracle calls and time. The
@@ -270,6 +275,9 @@ def learn(env, x0: int | None, max_depth: int, min_depth: int = 2,
     if bound is not None and bound * oracle.n_actions >= SUITE_WORDS:
         raise InputError(f"a bound of {bound} states over {oracle.n_actions} actions needs "
                          f"suites of more than {SUITE_WORDS} words")
+    if bound is not None and oracle.n_actions == 1 and bound > ONE_ACTION_BOUND:
+        raise InputError(f"a bound of {bound} states over one action is above {ONE_ACTION_BOUND}: "
+                         f"its certificate would cost about {bound}^3 numpy calls")
     resets0, steps0 = oracle.resets, oracle.steps
     table = _ObservationTable(oracle)  # the run's one observation tree, filled by every depth
     attempts: list[DepthAttempt] = []

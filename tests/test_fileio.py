@@ -22,6 +22,7 @@ from dtslearn import (
     write_dts,
     write_partition,
 )
+from dtslearn import fileio
 from dtslearn.envs import ArmSpec, SplitMix64
 from dtslearn.fileio import _LINE_BREAK, _content_lines, _numbered_lines, _parse_count, _transition
 
@@ -337,6 +338,11 @@ _MULTI_PIECE = {
     "arm1720": lambda: make_arm(ArmSpec(3, 12, frozenset({(1, 2, 3), (4, 5, 6)}), (0, 0, 0))),
     "metacharacters": lambda: _named(4000, ("a+", "(", ".")),
     "prefixes": lambda: _named(5000, ("L", "LL")),
+    # names of more than 8 bytes: two alike in their first 8, and one of exactly 24
+    "long names": lambda: _named(2000, ("exactly_twenty_four_byte", "rotate_left_arm",
+                                        "rotate_left_leg")),
+    # a name that is the other padded with a NUL: no plain line can hold it
+    "nul suffix": lambda: _named(4000, ("a", "a\x00")),
 }
 
 
@@ -359,6 +365,17 @@ def _edit_line(edit: str, line: str, n: int, first: str) -> list[str]:
         "tabs": [line.replace(" ", "\t")],
         "crlf": [line[:-1] + "\r\n"],
         "x1c break": [line[:-1] + "\x1c"],
+        "x1f space": [line.replace(" ", "\x1f", 1)],  # whitespace to str.split, not a break
+        "nul in the action": [f"trans {s} {name}\x00 {t}\n"],
+        "non-ascii action": [f"trans {s} {name}\u00e9 {t}\n"],
+        "non-ascii digits": [f"trans {s} {name} {''.join(chr(0x660 + int(d)) for d in t)}\n"],
+        "double space": [line.replace(" ", "  ", 1)],
+        "transx": ["transx" + line[5:]],
+        "nine digits": [f"trans {int(s):09d} {name} {int(t):09d}\n"],
+        "nul for a space": [line.replace(" ", "\x00", 1)],
+        "capital t": ["T" + line[1:]],
+        "last byte of the action": [f"trans {s} {name[:-1]}{chr(ord(name[-1]) ^ 1)} {t}\n"],
+        "colon target": [f"trans {s} {name} :\n"],
     }[edit]
 
 
@@ -366,7 +383,21 @@ _LINE_EDITS = ["duplicate of an earlier piece", "duplicate in the piece, other t
                "duplicate in the piece, same target", "source out of range",
                "target out of range", "plus signs", "leading zeros", "ten digits",
                "unknown action", "comment line", "trailing comment", "blank lines", "tabs",
-               "crlf", "x1c break"]
+               "crlf", "x1c break", "x1f space", "nul in the action", "non-ascii action",
+               "non-ascii digits", "double space", "transx", "nine digits", "nul for a space",
+               "capital t", "last byte of the action", "colon target"]
+# the edits that keep the text a valid one of the same system
+_VALID_EDITS = {"plus signs", "leading zeros", "comment line", "trailing comment", "blank lines",
+                "tabs", "crlf", "x1c break", "x1f space", "non-ascii digits", "double space",
+                "nine digits", "ten digits"}
+
+
+def _bulk_counts(monkeypatch) -> list[int]:
+    """The line counts that ``fileio._read_piece`` returns, call by call, from now on."""
+    counts, read_piece = [], fileio._read_piece
+    monkeypatch.setattr(fileio, "_read_piece",
+                        lambda *args: counts.append(read_piece(*args)) or counts[-1])
+    return counts
 
 
 class TestBulkAgainstReference:
@@ -397,31 +428,79 @@ class TestBulkAgainstReference:
         edited = "".join(lines)
         expected = _outcome(reference_parse_dts, edited)
         assert _outcome(parse_dts, edited) == expected
-        if edit in ("plus signs", "leading zeros", "comment line", "trailing comment",
-                    "blank lines", "tabs", "crlf", "x1c break"):
-            assert expected == sys_
+        assert (expected == sys_) == (edit in _VALID_EDITS)
 
     # str.splitlines breaks other than \n and \r, which the guard before allocating
     # counts cheaply: it must count these too, and not refuse the text
     _BREAKS = {"x1c": "\x1c", "vt": "\v", "ff": "\f", "x85": "\x85", "u2028": "\u2028"}
 
     @pytest.mark.parametrize("edit", ["crlf everywhere", *(f"{b} everywhere" for b in _BREAKS),
-                                      "no final newline", "last transition missing"])
+                                      "no final newline", "last transition missing",
+                                      "crlf, last ten transitions missing"])
     @pytest.mark.parametrize("name", list(_MULTI_PIECE))
     def test_whole_text_edit(self, texts, name, edit):
         sys_, text = texts[name]
         edited = {"crlf everywhere": lambda: text.replace("\n", "\r\n"),
                   "no final newline": lambda: text[:-1],
                   "last transition missing": lambda: text[:text.rindex("trans ")],
+                  # fewer lines than it needs, counting \n alone, but not counting \n and \r:
+                  # the guard lets it through, as the reference's does
+                  "crlf, last ten transitions missing":
+                      lambda: "\n".join(text.splitlines()[:-10]).replace("\n", "\r\n"),
                   **{f"{b} everywhere": lambda b=b: text.replace("\n", self._BREAKS[b])
                      for b in self._BREAKS}}[edit]()
         expected = _outcome(reference_parse_dts, edited)
         assert _outcome(parse_dts, edited) == expected
-        assert (expected == sys_) == (edit != "last transition missing")
+        assert (expected == sys_) == ("missing" not in edit)
+
+    def test_the_arm_is_read_in_bulk_after_its_header(self, monkeypatch):
+        # the lines read one at a time are the five of the header and the first transition,
+        # which ends it; the piece in which the header ends goes to the bulk reader from there
+        arm = _large_arm()
+        yielded, numbered = [], fileio._numbered_lines
+
+        def spy_numbered(*args):
+            for item in numbered(*args):
+                yielded.append(item)
+                yield item
+
+        monkeypatch.setattr(fileio, "_numbered_lines", spy_numbered)
+        counts = _bulk_counts(monkeypatch)
+        text = write_dts(arm)
+        assert parse_dts(text) == arm
+        assert yielded == list(enumerate(text.splitlines()[:6], start=1)) and 0 not in counts
+        assert sum(counts) == arm.n_states * len(arm.action_names)
+
+    @pytest.mark.parametrize("names", [("a", "a\x00"), ("a\x00", "a")])
+    def test_a_padded_token_is_not_the_longer_name(self, names, monkeypatch):
+        # lines grouped by action: the pieces of 'a' lines alone are read in bulk, and
+        # each 'a' must stay action 'a', though NUL-padded it reads as 'a\x00'
+        sys_ = _named(12_000, names)
+        header, lines = write_dts(sys_).split("trans ", 1)
+        lines = ("trans " + lines).splitlines(keepends=True)
+        text = header + "".join(lines[0::2] + lines[1::2])
+        counts = _bulk_counts(monkeypatch)
+        assert parse_dts(text) == sys_ == reference_parse_dts(text)
+        assert sum(counts) >= 6_000
+
+    def test_a_token_with_the_key_of_a_name(self, texts):
+        # bytes 8 and 16 flipped alike: the words XOR to the name's key, and only the
+        # second and third words show the token is not the name
+        sys_, text = texts["long names"]
+        at = text.index("trans 1500 exactly_twenty_four_byte ")
+        edited = text[:at] + text[at:].replace("exactly_twenty_four_byte",
+                                               "exactly_uwenty_fnur_byte", 1)
+        expected = _outcome(reference_parse_dts, edited)
+        assert _outcome(parse_dts, edited) == expected
+        assert "unknown action 'exactly_uwenty_fnur_byte'" in expected[0]
 
     _NOISE = ["", "  ", "# c", "trans 0 L 0", "trans 0 L 0 # c", "trans 1 R 0", "trans 00 L 1",
               "trans +1 R 2", "trans 9999 L 0", "trans 0 L 9999", "trans 0 X 1", "trans 0 L",
-              "loop 0", "trans 0 L 0\r", "\x1c", "trans 1 L 1\x1ctrans 2 L 2"]
+              "loop 0", "trans 0 L 0\r", "\x1c", "trans 1 L 1\x1ctrans 2 L 2", "trans\x1f1 L 1",
+              "trans 1 L\x00 1", "trans 1 L\u00e9 1", "trans  1 L 1", "transx 1 L 1",
+              "trans 000000001 L 000000001", "trans 1 LLLLLLLLL 1", "trans 1 L \u0661",
+              "trans\x001 L 1", "trans 1 L 1\x00trans 2 L 2", "Trans 1 L 1", "trans 1 L :",
+              "trans 1 L 1a"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2000, 6000), st.integers(1, 3), st.integers(0, 2 ** 32),

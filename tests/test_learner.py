@@ -356,6 +356,19 @@ class TestBoundedIndistinguishability:
                 assert bounded_indistinguishability(trie, horizon) == \
                     rowsort_bounded_indistinguishability(trie, horizon), (case, horizon)
 
+    # rows of 7, 8 and 9 bytes: the first two are sorted as uint64 keys, the last as void
+    # rows; with 300 observations, two bytes each, rows of 14, 6 and 8 bytes
+    @pytest.mark.parametrize("m, horizon, k", [(2, 2, 3), (7, 1, 3), (8, 1, 3), (2, 2, 300),
+                                               (2, 1, 300), (3, 1, 300)])
+    def test_matches_the_row_sort_rounds_about_8_byte_rows(self, m, horizon, k):
+        rng = SplitMix64(2600 + 10 * m + k)
+        depth = {2: 7, 3: 4, 7: 3, 8: 3}[m]
+        for _ in range(4):
+            trie = random_trie(rng, m, k, depth)
+            for h in range(horizon + 1):
+                assert bounded_indistinguishability(trie, h) == \
+                    rowsort_bounded_indistinguishability(trie, h), h
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_the_definition_word_by_word(self, m):
         # two nodes share a class iff every word of length at most h shows them the
@@ -501,6 +514,24 @@ class TestLearn:
                 learned, report = learn(env, 0, 20)
                 assert learned == model
                 assert report.depth_converged == depth
+
+    def test_a_one_action_bound_above_the_cap_is_refused(self):
+        # over one action a suite never outgrows SUITE_WORDS and a certificate costs about
+        # N^3 numpy calls: a bound above the cap fails before any oracle call, and an
+        # N-cycle at the cap is still certified
+        def one_cycle(n):
+            return TransitionSystem.from_tables(("a",), [[(s + 1) % n] for s in range(n)],
+                                                ["click"] + ["blank"] * (n - 1), 0)
+
+        cap = learner.ONE_ACTION_BOUND
+        oracle = CallCountingOracle(one_cycle(cap + 1), 0)
+        with pytest.raises(InputError, match=f"a bound of {cap + 1} states over one action"):
+            learn(oracle, None, 2 * cap + 4, min_depth=2 * cap + 2)
+        assert (oracle.start_calls, oracle.step_calls, oracle.resets, oracle.steps) == (0, 0, 0, 0)
+        env = one_cycle(cap)
+        model, report = learn(env, 0, 2 * cap + 2, min_depth=2 * cap)
+        assert report.converged and report.bound == cap
+        assert are_isomorphic(model, env, anchored=True)[0]
 
     def test_depths_are_validated(self):
         env = make_line(4)
